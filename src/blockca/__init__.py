@@ -14,8 +14,10 @@ from .ca import (
     inverse_step,
     phase_at,
     random_grid,
+    random_grids,
     step,
     validate_grid,
+    validate_grids,
 )
 from .linops import (
     AffineOperator,
@@ -37,7 +39,7 @@ __all__ = [
     "BLOCK_TABLE", "INVERSE_BLOCK_TABLE", "Direction", "EdgeMode",
     "GridFormatError", "Phase", "block_transform", "evolve",
     "inverse_block_transform", "inverse_step", "phase_at", "random_grid",
-    "step", "validate_grid", "AffineOperator", "KernelSpec",
+    "random_grids", "step", "validate_grid", "validate_grids", "AffineOperator", "KernelSpec",
     "apply_operator", "build_full_step_operator", "build_phase_operator",
     "build_wrap_permutation", "compose", "conv_to_matrix",
     "deconv_to_matrix", "devectorize_zigzag", "vectorize_zigzag",

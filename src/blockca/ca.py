@@ -83,12 +83,17 @@ def inverse_block_transform(code: int) -> int:
     return int(INVERSE_BLOCK_TABLE[code])
 
 
-def validate_grid(grid) -> np.ndarray:
-    """Check a grid is square with even side and binary cells; return uint8."""
-    g = np.asarray(grid)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+def validate_grids(grids) -> np.ndarray:
+    """Check a (..., n, n) stack of grids; return it as uint8.
+
+    The last two axes must be square with an even side of at least 2, and
+    every cell must be 0 or 1.  A single (n, n) grid is a stack with no
+    leading axes.
+    """
+    g = np.asarray(grids)
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError(f"grid must be square, got shape {g.shape}")
-    n = g.shape[0]
+    n = g.shape[-1]
     if n < 2 or n % 2 != 0:
         raise ValueError(f"grid side must be even and >= 2, got {n}")
     if not np.isin(g, (0, 1)).all():
@@ -96,38 +101,61 @@ def validate_grid(grid) -> np.ndarray:
     return g.astype(np.uint8)
 
 
-def _apply_blockwise(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Transform every aligned 2x2 block of a validated grid via the table."""
-    n = grid.shape[0]
-    q = grid.reshape(n // 2, 2, n // 2, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
-    q = q.astype(np.int64)
-    codes = q[:, 0] + 2 * q[:, 1] + 4 * q[:, 2] + 8 * q[:, 3]
-    out = table[codes].astype(np.int64)
-    bits = np.stack([(out >> k) & 1 for k in range(4)], axis=1).astype(np.uint8)
-    return bits.reshape(n // 2, n // 2, 2, 2).transpose(0, 2, 1, 3).reshape(n, n)
+def validate_grid(grid) -> np.ndarray:
+    """Check a grid is square with even side and binary cells; return uint8."""
+    g = np.asarray(grid)
+    if g.ndim != 2:
+        raise ValueError(f"grid must be square, got shape {g.shape}")
+    return validate_grids(g)
 
 
-def _step_with_table(grid: np.ndarray, phase: Phase, edge: EdgeMode,
+def _apply_blockwise(grids: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Transform every aligned 2x2 block of validated (..., n, n) grids.
+
+    Codes stay uint8 (at most 15), so the work arrays are no wider than
+    the grids themselves.
+    """
+    *lead, n, _ = grids.shape
+    h = n // 2
+    # Axes (..., block row, row in block, block column, column in block).
+    q = grids.reshape(*lead, h, 2, h, 2)
+    codes = q[..., 0, :, 0] + 2 * q[..., 0, :, 1] \
+        + 4 * q[..., 1, :, 0] + 8 * q[..., 1, :, 1]
+    out = table[codes]
+    bits = np.empty_like(q)
+    bits[..., 0, :, 0] = out & 1
+    bits[..., 0, :, 1] = (out >> 1) & 1
+    bits[..., 1, :, 0] = (out >> 2) & 1
+    bits[..., 1, :, 1] = out >> 3
+    return bits.reshape(grids.shape)
+
+
+def _step_with_table(grids: np.ndarray, phase: Phase, edge: EdgeMode,
                      table: np.ndarray) -> np.ndarray:
     if phase is Phase.ALIGNED:
-        return _apply_blockwise(grid, table)
+        return _apply_blockwise(grids, table)
     if edge is EdgeMode.TORUS_WRAP:
         # Shift so the offset partition becomes the aligned one, and back.
-        shifted = np.roll(grid, (-1, -1), axis=(0, 1))
-        return np.roll(_apply_blockwise(shifted, table), (1, 1), axis=(0, 1))
-    padded = np.pad(grid, 1)
-    return _apply_blockwise(padded, table)[1:-1, 1:-1]
+        shifted = np.roll(grids, (-1, -1), axis=(-2, -1))
+        return np.roll(_apply_blockwise(shifted, table), (1, 1),
+                       axis=(-2, -1))
+    pad = [(0, 0)] * (grids.ndim - 2) + [(1, 1), (1, 1)]
+    return _apply_blockwise(np.pad(grids, pad), table)[..., 1:-1, 1:-1]
 
 
 def step(grid, phase: Phase = Phase.ALIGNED,
          edge: EdgeMode = EdgeMode.TORUS_WRAP) -> np.ndarray:
-    """Advance one half-step: transform every block of the given partition."""
-    return _step_with_table(validate_grid(grid), phase, edge, BLOCK_TABLE)
+    """Advance one half-step: transform every block of the given partition.
+
+    Takes one (n, n) grid or a (..., n, n) stack and steps every grid of
+    the stack; the result has the input's shape.
+    """
+    return _step_with_table(validate_grids(grid), phase, edge, BLOCK_TABLE)
 
 
 def inverse_step(grid, phase: Phase = Phase.ALIGNED,
                  edge: EdgeMode = EdgeMode.TORUS_WRAP) -> np.ndarray:
-    """Exact inverse of step under torus wrap.
+    """Exact inverse of step under torus wrap, on a grid or a stack.
 
     Rejected for the pad-and-crop mode: cropping loses the outer ring, so no
     unique preimage exists.
@@ -135,7 +163,7 @@ def inverse_step(grid, phase: Phase = Phase.ALIGNED,
     if edge is not EdgeMode.TORUS_WRAP:
         raise ValueError("inverse stepping requires torus wrap; "
                          "pad-and-crop discards edge information")
-    return _step_with_table(validate_grid(grid), phase, edge,
+    return _step_with_table(validate_grids(grid), phase, edge,
                             INVERSE_BLOCK_TABLE)
 
 
@@ -148,12 +176,14 @@ def evolve(grid, steps: int, edge: EdgeMode = EdgeMode.TORUS_WRAP,
            direction: Direction = Direction.FORWARD) -> list[np.ndarray]:
     """Run a trajectory of the given length; returns steps+1 grids.
 
-    Forward trajectories alternate aligned/offset starting from aligned.
+    `grid` may be one (n, n) grid or a (..., n, n) stack, in which case
+    every entry of the trajectory is a stack of the same shape.  Forward
+    trajectories alternate aligned/offset starting from aligned.
     Backward trajectories undo a forward trajectory of the same length:
     inverse steps are applied with the phase order reversed, so evolving
     forward then backward over the same step count returns the start grid.
     """
-    g = validate_grid(grid)
+    g = validate_grids(grid)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if direction is Direction.BACKWARD and edge is not EdgeMode.TORUS_WRAP:
@@ -169,19 +199,31 @@ def evolve(grid, steps: int, edge: EdgeMode = EdgeMode.TORUS_WRAP,
     return out
 
 
-def random_grid(n: int, density: float, seed) -> np.ndarray:
-    """Grid with iid Bernoulli(density) cells; deterministic per seed.
+def random_grids(count: int, n: int, density: float, seed) -> np.ndarray:
+    """(count, n, n) stack of grids with iid Bernoulli(density) cells.
 
     `seed` may be an int or an existing numpy Generator (consumed in place,
-    which lets callers draw many grids from one stream).
+    which lets callers draw many grids from one stream).  The stack equals
+    `count` successive random_grid calls on the same Generator.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if n < 2 or n % 2 != 0:
         raise ValueError(f"grid side must be even and >= 2, got {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
-    return (rng.random((n, n)) < density).astype(np.uint8)
+    return (rng.random((count, n, n)) < density).astype(np.uint8)
+
+
+def random_grid(n: int, density: float, seed) -> np.ndarray:
+    """Grid with iid Bernoulli(density) cells; deterministic per seed.
+
+    `seed` may be an int or an existing numpy Generator (consumed in place,
+    which lets callers draw many grids from one stream).
+    """
+    return random_grids(1, n, density, seed)[0]
 
 
 # Grid text format: line 1 is the side length, then n rows of n characters

@@ -173,12 +173,16 @@ def cmd_operator_check(args) -> int:
     if args.exhaustive:
         if args.n > 4:
             raise ValueError("--exhaustive is only tractable for n <= 4")
-        grids = [np.array([(code >> k) & 1 for k in range(args.n * args.n)],
-                          dtype=np.uint8).reshape(args.n, args.n)
-                 for code in range(2 ** (args.n * args.n))]
+        # Bit k of code c is cell k (row-major) of grid c.
+        cells = args.n * args.n
+        codes = np.arange(2 ** cells)[:, None]
+        grids = ((codes >> np.arange(cells)) & 1).astype(np.uint8)
     else:
         rng = np.random.default_rng(args.seed)
-        grids = [random_grid(args.n, 0.5, rng) for _ in range(args.trials)]
+        grids = np.array([random_grid(args.n, 0.5, rng)
+                          for _ in range(args.trials)], dtype=np.uint8)
+    grids = grids.reshape(-1, args.n, args.n)
+    wants = evolve(grids, 2)[-1]
     failures = 0
     for index, g in enumerate(grids):
         op = build_full_step_operator(g)
@@ -186,7 +190,7 @@ def cmd_operator_check(args) -> int:
             with open(args.dump, "w", encoding="ascii") as f:
                 f.write(format_operator(op))
         got = apply_operator(op, vectorize_zigzag(g))
-        want = vectorize_zigzag(evolve(g, 2)[-1])
+        want = vectorize_zigzag(wants[index])
         if not np.array_equal(got, want) or not operator_is_invertible(op):
             failures += 1
     print(f"operator-check: {len(grids) - failures}/{len(grids)} passed")
@@ -328,9 +332,8 @@ def cmd_commute(args) -> int:
     if args.verify_trials > 0:
         candidates = [
             ("identity", lambda g: g),
-            ("evolution-itself", lambda g: evolution(g[None])[0]),
-            ("evolution-squared",
-             lambda g: evolution(evolution(g[None]))[0]),
+            ("evolution-itself", evolution),
+            ("evolution-squared", lambda g: evolution(evolution(g))),
             ("trained-network", net),
         ]
         report = verify_commuting_solutions(candidates, args.verify_trials,
@@ -350,9 +353,8 @@ def cmd_gradcheck(args) -> int:
                       seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     x = draw_input_with_margin(net, (args.batch, 1, args.n, args.n), rng)
-    target = np.stack([exact_step((sample[0] >= 0.5).astype(np.uint8),
-                                  phase, edge)
-                       for sample in x])[:, None].astype(np.float64)
+    target = exact_step((x[:, 0] >= 0.5).astype(np.uint8), phase,
+                        edge)[:, None].astype(np.float64)
     err = grad_check(net, x, target)
     print(f"gradcheck: max relative error {err:.3e}")
     return EXIT_OK if err <= GRADCHECK_TOLERANCE else EXIT_NUMERIC

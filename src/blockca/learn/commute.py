@@ -18,43 +18,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ca import EdgeMode, Phase, phase_at, random_grid, step
+from ..ca import EdgeMode, Phase, phase_at, random_grid, random_grids, step
 from ..nn.loss import bce_loss
 from ..nn.optim import NetworkOptimizer
 from .models import build_model
-from .rollout import apply_model_binary
+from .rollout import apply_model_binary, predict_grids
 from .train import EpochRecord, TrainConfig, TrainHistory, TrainingDiverged, split_holdout
 
 
 def exact_phase_step(phase: Phase, edge: EdgeMode = EdgeMode.TORUS_WRAP):
-    """Batch map applying one exact half-step to (count, n, n) grids."""
+    """Grid map applying one exact half-step to (count, n, n) grids."""
     def fn(grids: np.ndarray) -> np.ndarray:
-        return np.stack([step(g, phase, edge) for g in grids])
+        return step(grids, phase, edge)
     return fn
 
 
 def exact_full_step(grids: np.ndarray) -> np.ndarray:
     """One exact full step per grid: aligned then offset on the torus."""
-    out = []
-    for g in grids:
-        out.append(step(step(g, phase_at(0)), phase_at(1)))
-    return np.stack(out)
-
-
-def _as_batch_map(model):
-    """Normalize a Network or per-grid callable to a batch grid map."""
-    return lambda grids: apply_model_binary(model, grids)
+    return step(step(grids, phase_at(0)), phase_at(1))
 
 
 def commute_loss(candidate, evolution, grids: np.ndarray) -> float:
     """BCE between N(B(x)) and the frozen label B(threshold(N(x)))."""
-    from ..nn.layers import Network
-
-    n_of_b = candidate.predict(evolution(grids)[:, None].astype(np.float64)) \
-        if isinstance(candidate, Network) \
-        else _as_batch_map(candidate)(evolution(grids))[:, None].astype(np.float64)
-    b_of_n = evolution(_as_batch_map(candidate)(grids))
-    loss, _ = bce_loss(n_of_b, b_of_n[:, None].astype(np.float64))
+    n_of_b = predict_grids(candidate, evolution(grids))
+    b_of_n = evolution(apply_model_binary(candidate, grids))
+    loss, _ = bce_loss(n_of_b[:, None], b_of_n[:, None].astype(np.float64))
     return loss
 
 
@@ -150,26 +138,26 @@ def verify_commuting_solutions(candidates, trials: int, seed: int,
     """Check N(B(x)) == B(N(x)) exactly on random grids for each candidate.
 
     `candidates` is a list of (name, map) pairs where a map is a Network or
-    a per-grid callable.  `evolution` defaults to the exact aligned
-    half-step.  Distinctness between commuting candidates is decided
-    extensionally from their outputs on the sampled grids.
+    a callable grid map on (count, n, n) stacks (see predict_grids).
+    `evolution` defaults to the exact aligned half-step.  Distinctness
+    between commuting candidates is decided extensionally from their
+    outputs on the sampled grids.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if evolution is None:
         evolution = exact_phase_step(Phase.ALIGNED)
-    rng = np.random.default_rng(seed)
-    grids = np.stack([random_grid(n, density, rng) for _ in range(trials)])
+    grids = random_grids(trials, n, density, seed)
 
     report = CommuteReport()
     outputs = {}
     for name, candidate in candidates:
-        fn = _as_batch_map(candidate)
-        lhs = fn(evolution(grids))
-        rhs = evolution(fn(grids))
-        passes = int(sum(np.array_equal(a, b) for a, b in zip(lhs, rhs)))
+        out = apply_model_binary(candidate, grids)
+        lhs = apply_model_binary(candidate, evolution(grids))
+        rhs = evolution(out)
+        passes = int((lhs == rhs).all(axis=(1, 2)).sum())
         report.results.append(CandidateResult(name, trials, passes))
-        outputs[name] = fn(grids)
+        outputs[name] = out
 
     for result in report.results:
         if not result.commutes:

@@ -11,7 +11,7 @@ from ..ca import (
     EdgeMode,
     Phase,
     inverse_step,
-    random_grid,
+    random_grids,
     step,
 )
 
@@ -44,7 +44,10 @@ class Dataset:
 
 
 def rule_map(direction: Direction, phase: Phase, edge: EdgeMode):
-    """The exact single half-step map this dataset's targets follow."""
+    """The exact single half-step map this dataset's targets follow.
+
+    The map takes one grid or a (..., n, n) stack.
+    """
     if direction is Direction.FORWARD:
         return lambda g: step(g, phase, edge)
     return lambda g: inverse_step(g, phase, edge)
@@ -56,14 +59,12 @@ def generate_dataset(n: int, count: int, direction: Direction, phase: Phase,
     """Random grids with their exact images under the chosen half-step."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    fn = rule_map(direction, phase, edge)
-    rng = np.random.default_rng(seed)
-    inputs = np.stack([random_grid(n, density, rng) for _ in range(count)])
-    targets = np.stack([fn(g) for g in inputs])
+    inputs = random_grids(count, n, density, seed)
+    targets = rule_map(direction, phase, edge)(inputs)
     return Dataset(inputs, targets, n, direction, phase, edge, seed, density)
 
 
 def verify_dataset(ds: Dataset) -> bool:
     """Recompute every target from its input; True iff all match."""
     fn = rule_map(ds.direction, ds.phase, ds.edge)
-    return all(np.array_equal(fn(x), t) for x, t in zip(ds.inputs, ds.targets))
+    return np.array_equal(fn(ds.inputs), ds.targets)

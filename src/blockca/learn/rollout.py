@@ -5,17 +5,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ca import Direction, EdgeMode, evolve, validate_grid
+from ..ca import Direction, EdgeMode, evolve, validate_grid, validate_grids
 from ..nn.layers import Network
 
 
-def apply_model_binary(model, grids: np.ndarray) -> np.ndarray:
-    """Run grids (count, n, n) through a model and threshold at 0.5."""
+def predict_grids(model, grids: np.ndarray) -> np.ndarray:
+    """A grid map's (count, n, n) float output on (count, n, n) grids.
+
+    A grid map is a Network, whose output is its sigmoid probabilities, or
+    a callable that takes and returns a (count, n, n) stack of binary
+    grids; the callable is called once for the whole stack.
+    """
     if isinstance(model, Network):
-        x = grids[:, None, :, :].astype(np.float64)
-        pred = model.predict(x)
-        return (pred[:, 0] >= 0.5).astype(np.uint8)
-    return np.stack([validate_grid(model(g)) for g in grids])
+        return model.predict(grids[:, None, :, :].astype(np.float64))[:, 0]
+    out = validate_grids(model(grids))
+    if out.shape != grids.shape:
+        raise ValueError(f"grid map returned shape {out.shape} "
+                         f"for input shape {grids.shape}")
+    return out.astype(np.float64)
+
+
+def apply_model_binary(model, grids: np.ndarray) -> np.ndarray:
+    """Run grids (count, n, n) through a grid map and threshold at 0.5."""
+    return (predict_grids(model, grids) >= 0.5).astype(np.uint8)
 
 
 def rollout(model_aligned, model_offset, grid, steps: int):

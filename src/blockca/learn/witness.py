@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ca import validate_grid
+from ..ca import validate_grid, validate_grids
 from ..linops import conv_to_matrix, deconv_to_matrix
 from ..nn.layers import (
     BypassLayer,
@@ -149,8 +149,8 @@ def binarize_stages(dim: int, alpha: float) -> list[tuple]:
 
 
 def _flatten_grids(grids) -> np.ndarray:
-    arr = np.stack([validate_grid(g) for g in grids]).astype(np.float64)
-    return arr.reshape(arr.shape[0], -1)
+    arr = validate_grids(grids)
+    return arr.reshape(arr.shape[0], -1).astype(np.float64)
 
 
 def single_step_witness(net: Network, grids) -> np.ndarray:

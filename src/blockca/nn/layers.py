@@ -311,6 +311,3 @@ class Network:
         for layer in self.param_layers():
             out.extend(layer.parameters())
         return out
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p, _ in self.parameters())

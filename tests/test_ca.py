@@ -28,6 +28,22 @@ def bits_to_code(bits):
     return bits[0] + 2 * bits[1] + 4 * bits[2] + 8 * bits[3]
 
 
+# Every (phase, edge, direction) a step is defined for.
+STEP_CASES = [(phase, edge, direction)
+              for phase in Phase for edge in EdgeMode for direction in Direction
+              if direction is Direction.FORWARD or edge is EdgeMode.TORUS_WRAP]
+
+
+def step_fn(direction):
+    return ca.step if direction is Direction.FORWARD else ca.inverse_step
+
+
+def stack_with_one_cell_set(value):
+    grids = np.zeros((3, 4, 4), dtype=np.uint8)
+    grids[2, 1, 3] = value
+    return grids
+
+
 class TestBlockTransform:
     def test_matches_bruteforce_oracle_on_all_codes(self):
         for code in range(16):
@@ -68,6 +84,17 @@ class TestBlockTransform:
         with pytest.raises(ValueError):
             ca.inverse_block_transform(-1)
 
+    @pytest.mark.parametrize("fn,table", [
+        (ca.step, ca.BLOCK_TABLE),
+        (ca.inverse_step, ca.INVERSE_BLOCK_TABLE),
+    ])
+    def test_stack_of_all_codes_steps_through_the_table(self, fn, table):
+        # One 2x2 grid per block code, all 16 stepped in one call.
+        blocks = np.array([code_to_bits(c) for c in range(16)],
+                          dtype=np.uint8).reshape(16, 2, 2)
+        out = fn(blocks, Phase.ALIGNED).reshape(16, 4)
+        assert [bits_to_code(tuple(b)) for b in out] == table.tolist()
+
 
 class TestStep:
     def test_all_dead_flips_to_all_live(self):
@@ -94,6 +121,43 @@ class TestStep:
     def test_rejects_non_binary_cells(self):
         with pytest.raises(ValueError):
             ca.step(np.full((4, 4), 2, dtype=np.uint8))
+
+    @pytest.mark.parametrize("phase,edge,direction", STEP_CASES)
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3), (0,)])
+    def test_stack_matches_stacked_single_grids(self, phase, edge, direction,
+                                                lead):
+        fn = step_fn(direction)
+        rng = np.random.default_rng(len(lead))
+        grids = (rng.random((*lead, 6, 6)) < 0.5).astype(np.uint8)
+        want = np.array([fn(g, phase, edge) for g in grids.reshape(-1, 6, 6)],
+                        dtype=np.uint8).reshape(grids.shape)
+        got = fn(grids, phase, edge)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("phase", list(Phase))
+    def test_inverse_undoes_step_on_every_4x4_grid(self, phase):
+        codes = np.arange(2 ** 16)[:, None]
+        grids = ((codes >> np.arange(16)) & 1).astype(np.uint8)
+        grids = grids.reshape(-1, 4, 4)
+        assert np.array_equal(ca.inverse_step(ca.step(grids, phase), phase),
+                              grids)
+
+    @pytest.mark.parametrize("fn", [ca.step, ca.inverse_step,
+                                    ca.validate_grids])
+    @pytest.mark.parametrize("grids", [
+        stack_with_one_cell_set(2),
+        np.zeros((3, 4, 6), dtype=np.uint8),
+        np.zeros((3, 5, 5), dtype=np.uint8),
+        np.zeros(4, dtype=np.uint8),
+    ], ids=["one-non-binary-cell", "non-square", "odd-side", "one-axis"])
+    def test_rejects_malformed_stacks(self, fn, grids):
+        with pytest.raises(ValueError):
+            fn(grids)
+
+    def test_validate_grid_rejects_a_stack(self):
+        with pytest.raises(ValueError):
+            ca.validate_grid(np.zeros((1, 4, 4), dtype=np.uint8))
 
     def test_offset_pad_matches_manual_padding(self):
         g = ca.random_grid(6, 0.5, 12)
@@ -172,6 +236,21 @@ class TestEvolve:
         assert np.array_equal(traj[2], ca.step(traj[1], Phase.OFFSET))
         assert np.array_equal(traj[3], ca.step(traj[2], Phase.ALIGNED))
 
+    @pytest.mark.parametrize("edge,direction", [
+        (EdgeMode.TORUS_WRAP, Direction.FORWARD),
+        (EdgeMode.ZERO_PAD_CROP, Direction.FORWARD),
+        (EdgeMode.TORUS_WRAP, Direction.BACKWARD),
+    ])
+    def test_stack_trajectory_matches_single_trajectories(self, edge,
+                                                          direction):
+        rng = np.random.default_rng(14)
+        grids = (rng.random((2, 3, 8, 8)) < 0.5).astype(np.uint8)
+        traj = ca.evolve(grids, 3, edge, direction)
+        for index in np.ndindex(2, 3):
+            single = ca.evolve(grids[index], 3, edge, direction)
+            for frame, want in zip(traj, single):
+                assert np.array_equal(frame[index], want)
+
     def test_backward_rejects_pad_mode(self):
         g = ca.random_grid(4, 0.5, 0)
         with pytest.raises(ValueError):
@@ -204,6 +283,17 @@ class TestRandomGrid:
             ca.random_grid(5, 0.5, 0)
         with pytest.raises(ValueError):
             ca.random_grid(4, 1.5, 0)
+        with pytest.raises(ValueError):
+            ca.random_grids(-1, 4, 0.5, 0)
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_stack_equals_successive_single_draws(self, count):
+        rng = np.random.default_rng(21)
+        want = [ca.random_grid(6, 0.3, rng) for _ in range(count)]
+        got = ca.random_grids(count, 6, 0.3, 21)
+        assert got.shape == (count, 6, 6) and got.dtype == np.uint8
+        assert np.array_equal(got, np.array(want, dtype=np.uint8)
+                              .reshape(count, 6, 6))
 
 
 class TestGridText:

@@ -185,6 +185,28 @@ class TestRollout:
         _, divergence = rollout(net_a, net_o, g, steps=4)
         assert divergence == 1
 
+    def test_callable_grid_map_is_called_once_per_stack(self):
+        from blockca.learn import apply_model_binary
+
+        calls = []
+
+        def aligned(grids):
+            calls.append(grids.shape)
+            return step(grids, Phase.ALIGNED)
+
+        rng = np.random.default_rng(15)
+        grids = np.stack([random_grid(8, 0.5, rng) for _ in range(7)])
+        out = apply_model_binary(aligned, grids)
+        assert calls == [(7, 8, 8)]
+        assert np.array_equal(out, step(grids, Phase.ALIGNED))
+
+    def test_grid_map_of_wrong_shape_rejected(self):
+        from blockca.learn import apply_model_binary
+
+        grids = np.stack([random_grid(8, 0.5, s) for s in range(3)])
+        with pytest.raises(ValueError):
+            apply_model_binary(lambda g: g[0], grids)
+
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
             rollout(lambda g: g, lambda g: g, random_grid(4, 0.5, 0), 0)

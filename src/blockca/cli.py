@@ -21,6 +21,7 @@ from .ca import (
     Phase,
     evolve,
     random_grid,
+    random_grids,
     read_grid,
     write_trajectory,
     format_trajectory,
@@ -177,11 +178,9 @@ def cmd_operator_check(args) -> int:
         cells = args.n * args.n
         codes = np.arange(2 ** cells)[:, None]
         grids = ((codes >> np.arange(cells)) & 1).astype(np.uint8)
+        grids = grids.reshape(-1, args.n, args.n)
     else:
-        rng = np.random.default_rng(args.seed)
-        grids = np.array([random_grid(args.n, 0.5, rng)
-                          for _ in range(args.trials)], dtype=np.uint8)
-    grids = grids.reshape(-1, args.n, args.n)
+        grids = random_grids(args.trials, args.n, 0.5, args.seed)
     wants = evolve(grids, 2)[-1]
     failures = 0
     for index, g in enumerate(grids):

@@ -92,6 +92,9 @@ class TestOperatorCheck:
     def test_odd_n_exits_3(self):
         assert run("operator-check", "--n", "5", "--trials", "2") == 3
 
+    def test_negative_trials_exit_3(self):
+        assert run("operator-check", "--n", "4", "--trials", "-1") == 3
+
 
 class TestLowerCheck:
     def test_default_trials_pass(self, capsys):

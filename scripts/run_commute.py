@@ -1,23 +1,21 @@
 #!/usr/bin/env python3
 """Commutativity experiment: train networks to commute with the evolution
 rule from two seeds, certify the non-uniqueness of exact commuters, and
-measure how differently the two runs end up behaving."""
+measure how differently the two runs end up behaving.
+
+Each seed is one `blockca commute` run writing a history CSV, checkpoint
+and manifest under --outdir; the verification report goes to
+verification.txt."""
 
 import argparse
+import sys
 from pathlib import Path
 
-import numpy as np
-
-from blockca.ca import Phase, random_grid, step
-from blockca.cli import write_manifest
-from blockca.learn import (
-    TrainConfig,
-    commute_experiment,
-    exact_phase_step,
-    verify_commuting_solutions,
-)
+from blockca.ca import Phase, random_grids, step
+from blockca.cli import main as blockca
+from blockca.learn import exact_phase_step, verify_commuting_solutions
 from blockca.learn.rollout import apply_model_binary
-from blockca.nn import save_network
+from blockca.nn import load_network
 
 
 def main():
@@ -32,23 +30,22 @@ def main():
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    evolution = exact_phase_step(Phase.ALIGNED)
 
     nets = {}
     for init_seed in args.seeds:
-        config = TrainConfig(epochs=args.epochs, seed=init_seed + 7)
-        history, net = commute_experiment(evolution, init_seed, config,
-                                          n=args.n, count=args.count)
-        nets[init_seed] = net
-        (outdir / f"commute-{init_seed}.csv").write_text(history.to_csv())
-        save_network(net, outdir / f"commute-{init_seed}.ckpt")
-        write_manifest(outdir / f"commute-{init_seed}.manifest.txt", {
-            "n": args.n, "count": args.count, "epochs": args.epochs,
-            "init_seed": init_seed, "data_seed": init_seed + 7,
-        })
-        print(f"seed {init_seed}: final commute loss "
-              f"{history.final.test_loss:.4g}")
+        stem = outdir / f"commute-{init_seed}"
+        print(f"seed {init_seed}: ", end="", flush=True)
+        code = blockca([
+            "commute", "--verify-trials", "0", "--n", str(args.n),
+            "--count", str(args.count), "--epochs", str(args.epochs),
+            "--model-seed", str(init_seed), "--seed", str(init_seed + 7),
+            "--out-csv", f"{stem}.csv", "--out-checkpoint", f"{stem}.ckpt"])
+        if code != 0:
+            return code
+        Path(f"{stem}.csv.manifest.txt").replace(f"{stem}.manifest.txt")
+        nets[init_seed] = load_network(f"{stem}.ckpt")
 
+    evolution = exact_phase_step(Phase.ALIGNED)
     candidates = [
         ("identity", lambda g: g),
         ("evolution", lambda g: step(g, Phase.ALIGNED)),
@@ -62,13 +59,13 @@ def main():
     (outdir / "verification.txt").write_text(cert.summary())
     print(cert.summary(), end="")
 
-    rng = np.random.default_rng(777)
-    probes = np.stack([random_grid(args.n, 0.5, rng) for _ in range(100)])
+    probes = random_grids(100, args.n, 0.5, 777)
     outs = [apply_model_binary(nets[s], probes) for s in args.seeds]
     disagreement = float((outs[0] != outs[1]).mean())
     print(f"different seeds disagree on {100 * disagreement:.2f}% "
           f"of output cells")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

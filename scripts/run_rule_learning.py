@@ -1,55 +1,43 @@
 #!/usr/bin/env python3
 """Train every rule-learning variant and report rollout behaviour.
 
-Writes one history CSV, checkpoint and manifest per task under --outdir,
-then iterates the trained aligned/offset pair against the exact trajectory
-and reports the divergence-step distribution.
+Each task is one `blockca train` run writing a history CSV, checkpoint and
+manifest under --outdir; then `blockca rollout` iterates the trained
+aligned/offset pair against the exact trajectory and writes the
+divergence-step report to rollout.txt.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-import numpy as np
+from blockca.cli import main as blockca
+from blockca.learn.train import split_holdout
 
-from blockca.ca import Direction, EdgeMode, Phase, random_grid
-from blockca.cli import write_manifest
-from blockca.learn import TrainConfig, build_model, generate_dataset, rollout, train
-from blockca.nn import save_network
-
+# name: extra `blockca train` flags
 TASKS = {
-    "fwd-aligned": (Direction.FORWARD, Phase.ALIGNED, EdgeMode.TORUS_WRAP, False),
-    "fwd-offset-torus": (Direction.FORWARD, Phase.OFFSET, EdgeMode.TORUS_WRAP, False),
-    "fwd-offset-pad": (Direction.FORWARD, Phase.OFFSET, EdgeMode.ZERO_PAD_CROP, False),
-    "bwd-aligned": (Direction.BACKWARD, Phase.ALIGNED, EdgeMode.TORUS_WRAP, False),
-    "fwd-aligned-bypass": (Direction.FORWARD, Phase.ALIGNED, EdgeMode.TORUS_WRAP, True),
+    "fwd-aligned": [],
+    "fwd-offset-torus": ["--phase", "offset"],
+    "fwd-offset-pad": ["--phase", "offset", "--edge", "pad"],
+    "bwd-aligned": ["--direction", "bwd"],
+    "fwd-aligned-bypass": ["--bypass"],
 }
 
 
-def run_task(name, outdir, n, count, holdout, config, base_seed):
-    direction, phase, edge, bypass = TASKS[name]
-    dataset = generate_dataset(n, count, direction, phase, edge, seed=base_seed)
-    net = build_model(phase, edge, bypass_endpoints=bypass, seed=base_seed + 1)
-    cfg = TrainConfig(epochs=config.epochs, batch_size=config.batch_size,
-                      optimizer=config.optimizer, seed=base_seed + 2,
-                      bypass_endpoints=bypass)
-    history, net = train(net, dataset, cfg, holdout_fraction=holdout)
-    (outdir / f"{name}.csv").write_text(history.to_csv())
-    save_network(net, outdir / f"{name}.ckpt")
-    write_manifest(outdir / f"{name}.manifest.txt", {
-        "task": name, "n": n, "count": count, "holdout": holdout,
-        "direction": direction.value, "phase": phase.value,
-        "edge": edge.value, "bypass_endpoints": bypass,
-        "epochs": cfg.epochs, "batch_size": cfg.batch_size,
-        "optimizer": cfg.optimizer.algorithm,
-        "learning_rate": cfg.optimizer.learning_rate,
-        "data_seed": base_seed, "model_seed": base_seed + 1,
-        "train_seed": base_seed + 2,
-    })
-    final = history.final
-    print(f"{name:20s} cell_accuracy={final.cell_accuracy:.6f} "
-          f"exact_grid_rate={final.exact_grid_rate:.4f} "
-          f"test_loss={final.test_loss:.4g}")
-    return net
+def run_task(name, outdir, n, count, holdout, epochs, base_seed):
+    n_test = split_holdout(count, holdout)
+    print(f"{name}: ", end="", flush=True)
+    code = blockca([
+        "train", *TASKS[name], "--n", str(n),
+        "--train-count", str(count - n_test), "--test-count", str(n_test),
+        "--epochs", str(epochs), "--data-seed", str(base_seed),
+        "--model-seed", str(base_seed + 1), "--seed", str(base_seed + 2),
+        "--out-csv", str(outdir / f"{name}.csv"),
+        "--out-checkpoint", str(outdir / f"{name}.ckpt")])
+    if code == 0:
+        (outdir / f"{name}.csv.manifest.txt").replace(
+            outdir / f"{name}.manifest.txt")
+    return code
 
 
 def main():
@@ -66,28 +54,24 @@ def main():
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config = TrainConfig(epochs=args.epochs)
-
-    nets = {}
     for offset, name in enumerate(TASKS):
-        nets[name] = run_task(name, outdir, args.n, args.count, args.holdout,
-                              config, args.seed + 10 * offset)
+        code = run_task(name, outdir, args.n, args.count, args.holdout,
+                        args.epochs, args.seed + 10 * offset)
+        if code != 0:
+            return code
 
-    rng = np.random.default_rng(args.seed)
-    divergences = []
-    for _ in range(args.rollout_trials):
-        g = random_grid(args.n, 0.5, rng)
-        _, div = rollout(nets["fwd-aligned"], nets["fwd-offset-torus"], g,
-                         args.rollout_steps)
-        divergences.append(div)
-    counts = {d: divergences.count(d) for d in sorted(set(divergences))}
-    lines = [f"steps={args.rollout_steps}", f"trials={args.rollout_trials}",
-             f"mean_divergence_step={np.mean(divergences):.6g}",
-             f"exact_rollouts={counts.get(args.rollout_steps + 1, 0)}"]
-    lines += [f"divergence_at_{k}={v}" for k, v in counts.items()]
-    (outdir / "rollout.txt").write_text("\n".join(lines) + "\n")
-    print("rollout:", ", ".join(lines))
+    report = outdir / "rollout.txt"
+    code = blockca([
+        "rollout",
+        "--checkpoint-aligned", str(outdir / "fwd-aligned.ckpt"),
+        "--checkpoint-offset", str(outdir / "fwd-offset-torus.ckpt"),
+        "--n", str(args.n), "--count", str(args.rollout_trials),
+        "--steps", str(args.rollout_steps), "--seed", str(args.seed),
+        "--out", str(report)])
+    if code == 0:
+        print("rollout:", ", ".join(report.read_text().splitlines()))
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -38,6 +38,7 @@ from .linops import (
 )
 from .nn import (
     CheckpointFormatError,
+    MarginNotFound,
     conv_forward,
     deconv_forward,
     grad_check,
@@ -497,7 +498,7 @@ def main(argv=None) -> int:
     except (GridFormatError, CheckpointFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, MarginNotFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

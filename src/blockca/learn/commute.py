@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ca import EdgeMode, Phase, phase_at, random_grid, random_grids, step
+from ..ca import EdgeMode, Phase, phase_at, random_grids, step
 from ..nn.loss import bce_loss
-from ..nn.optim import NetworkOptimizer
 from .models import build_model
 from .rollout import apply_model_binary, predict_grids
-from .train import EpochRecord, TrainConfig, TrainHistory, TrainingDiverged, split_holdout
+from .train import TrainConfig, fit, split_holdout
 
 
 def exact_phase_step(phase: Phase, edge: EdgeMode = EdgeMode.TORUS_WRAP):
@@ -57,45 +56,16 @@ def commute_experiment(evolution, init_seed: int, config: TrainConfig,
     held-out pool of grids.
     """
     rng = np.random.default_rng(config.seed)
-    grids = np.stack([random_grid(n, density, rng) for _ in range(count)])
+    grids = random_grids(count, n, density, rng)
     n_test = split_holdout(count, holdout_fraction)
-    train_grids, test_grids = grids[:-n_test], grids[-n_test:]
-
     net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
                       bypass_endpoints=config.bypass_endpoints, seed=init_seed)
-    optimizer = NetworkOptimizer(config.optimizer, net)
-    history = TrainHistory()
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(train_grids.shape[0])
-        loss_sum = 0.0
-        for lo in range(0, train_grids.shape[0], config.batch_size):
-            x = train_grids[order[lo:lo + config.batch_size]]
-            b_x = evolution(x)
-            n_x = apply_model_binary(net, x)
-            label = evolution(n_x)[:, None].astype(np.float64)
-            pred, caches = net.forward(b_x[:, None].astype(np.float64))
-            loss, dpred = bce_loss(pred, label)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite commute loss at epoch {epoch}")
-            net.backward(dpred, caches)
-            optimizer.step()
-            loss_sum += loss * x.shape[0]
 
-        b_t = evolution(test_grids)
-        pred_t = net.predict(b_t[:, None].astype(np.float64))
-        label_t = evolution(apply_model_binary(net, test_grids))
-        label_f = label_t[:, None].astype(np.float64)
-        test_loss, _ = bce_loss(pred_t, label_f)
-        hard = (pred_t >= 0.5).astype(np.float64)
-        match = hard == label_f
-        history.records.append(EpochRecord(
-            epoch=epoch,
-            train_loss=loss_sum / train_grids.shape[0],
-            test_loss=test_loss,
-            cell_accuracy=float(match.mean()),
-            exact_grid_rate=float(match.all(axis=(1, 2, 3)).mean()),
-        ))
-    return history, net
+    def pairs(indices):
+        x = grids[indices]
+        return evolution(x), evolution(apply_model_binary(net, x))
+
+    return fit(net, pairs, count - n_test, n_test, config, rng), net
 
 
 @dataclass(frozen=True)

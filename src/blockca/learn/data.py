@@ -36,12 +36,6 @@ class Dataset:
     def pairs(self):
         return list(zip(self.inputs, self.targets))
 
-    def tensors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Float (N, 1, n, n) views for the network stack."""
-        x = self.inputs[:, None, :, :].astype(np.float64)
-        t = self.targets[:, None, :, :].astype(np.float64)
-        return x, t
-
 
 def rule_map(direction: Direction, phase: Phase, edge: EdgeMode):
     """The exact single half-step map this dataset's targets follow.

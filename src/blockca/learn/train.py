@@ -10,6 +10,7 @@ from ..nn.layers import Network
 from ..nn.loss import bce_loss
 from ..nn.optim import NetworkOptimizer, OptimizerConfig
 from .data import Dataset
+from .rollout import predict_grids
 
 DEFAULT_GRID_SIZE = 16
 DEFAULT_TRAIN_COUNT = 8000
@@ -87,38 +88,35 @@ class TrainHistory:
         return TrainHistory(records)
 
 
-def _predict(model, x: np.ndarray) -> np.ndarray:
-    if isinstance(model, Network):
-        return model.predict(x)
-    return model(x)
-
-
-def evaluate_tensors(model, x: np.ndarray, targets: np.ndarray,
+def evaluate_tensors(model, grids: np.ndarray, targets: np.ndarray,
                      chunk: int = 1024) -> EvalResult:
-    """Thresholded-at-0.5 cell accuracy, exact-grid rate and mean loss."""
-    if x.shape[0] == 0:
+    """Thresholded-at-0.5 cell accuracy, exact-grid rate and mean loss of a
+    grid map (see predict_grids) on (count, n, n) grids against targets.
+
+    A non-finite prediction raises TrainingDiverged instead of being scored.
+    """
+    if grids.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
     cells_right = 0
     grids_right = 0
     loss_sum = 0.0
-    for lo in range(0, x.shape[0], chunk):
-        xs, ts = x[lo:lo + chunk], targets[lo:lo + chunk]
-        pred = _predict(model, xs)
-        loss, _ = bce_loss(pred, ts)
+    for lo in range(0, grids.shape[0], chunk):
+        xs, ts = grids[lo:lo + chunk], targets[lo:lo + chunk]
+        pred = predict_grids(model, xs)
+        if not np.isfinite(pred).all():
+            raise TrainingDiverged("non-finite prediction")
+        loss, _ = bce_loss(pred, ts.astype(np.float64))
         loss_sum += loss * xs.shape[0]
-        hard = (pred >= 0.5).astype(np.float64)
-        match = hard == ts
+        match = (pred >= 0.5) == ts
         cells_right += int(match.sum())
-        grids_right += int(match.all(axis=(1, 2, 3)).sum())
-    total_cells = int(np.prod(x.shape))
-    return EvalResult(cell_accuracy=cells_right / total_cells,
-                      exact_grid_rate=grids_right / x.shape[0],
-                      mean_loss=loss_sum / x.shape[0])
+        grids_right += int(match.all(axis=(1, 2)).sum())
+    return EvalResult(cell_accuracy=cells_right / targets.size,
+                      exact_grid_rate=grids_right / grids.shape[0],
+                      mean_loss=loss_sum / grids.shape[0])
 
 
 def evaluate(model, dataset: Dataset) -> EvalResult:
-    x, t = dataset.tensors()
-    return evaluate_tensors(model, x, t)
+    return evaluate_tensors(model, dataset.inputs, dataset.targets)
 
 
 def split_holdout(count: int, holdout_fraction: float) -> int:
@@ -132,6 +130,44 @@ def split_holdout(count: int, holdout_fraction: float) -> int:
     return n_test
 
 
+def fit(net: Network, pairs, n_train: int, n_test: int, config: TrainConfig,
+        rng: np.random.Generator) -> TrainHistory:
+    """Minibatch BCE training of `net` in place; returns per-epoch history.
+
+    `pairs(indices)` returns the (inputs, targets) (count, n, n) grid stacks
+    of those sample indices.  Indices below `n_train` are trained on, in an
+    order `rng` shuffles each epoch; the next `n_test` are held out and
+    scored by evaluate_tensors after each epoch's last optimizer step.
+    """
+    history = TrainHistory()
+    optimizer = NetworkOptimizer(config.optimizer, net)
+    held_out = np.arange(n_train, n_train + n_test)
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n_train)
+        loss_sum = 0.0
+        for lo in range(0, n_train, config.batch_size):
+            idx = order[lo:lo + config.batch_size]
+            x, t = pairs(idx)
+            pred, caches = net.forward(x[:, None].astype(np.float64))
+            loss, dpred = bce_loss(pred, t[:, None].astype(np.float64))
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+            net.backward(dpred, caches)
+            optimizer.step()
+            loss_sum += loss * idx.size
+        # A module-global call: bench/workloads.py's Gate replaces
+        # evaluate_tensors here to end training at a held-out gate.
+        test = evaluate_tensors(net, *pairs(held_out))
+        history.records.append(EpochRecord(
+            epoch=epoch,
+            train_loss=loss_sum / n_train,
+            test_loss=test.mean_loss,
+            cell_accuracy=test.cell_accuracy,
+            exact_grid_rate=test.exact_grid_rate,
+        ))
+    return history
+
+
 def train(model: Network, dataset: Dataset, config: TrainConfig,
           holdout_fraction: float) -> tuple[TrainHistory, Network]:
     """Train in place; returns per-epoch history and the same network.
@@ -143,35 +179,10 @@ def train(model: Network, dataset: Dataset, config: TrainConfig,
     if len(dataset) < 10:
         raise ValueError("dataset must hold at least 10 pairs")
     n_test = split_holdout(len(dataset), holdout_fraction)
-    x_all, t_all = dataset.tensors()
-    x_train, t_train = x_all[:-n_test], t_all[:-n_test]
-    x_test, t_test = x_all[-n_test:], t_all[-n_test:]
 
-    history = TrainHistory()
-    if config.epochs == 0:
-        return history, model
+    def pairs(indices):
+        return dataset.inputs[indices], dataset.targets[indices]
 
-    rng = np.random.default_rng(config.seed)
-    optimizer = NetworkOptimizer(config.optimizer, model)
-    n_train = x_train.shape[0]
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n_train)
-        loss_sum = 0.0
-        for lo in range(0, n_train, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            pred, caches = model.forward(x_train[idx])
-            loss, dpred = bce_loss(pred, t_train[idx])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            model.backward(dpred, caches)
-            optimizer.step()
-            loss_sum += loss * idx.size
-        test = evaluate_tensors(model, x_test, t_test)
-        history.records.append(EpochRecord(
-            epoch=epoch,
-            train_loss=loss_sum / n_train,
-            test_loss=test.mean_loss,
-            cell_accuracy=test.cell_accuracy,
-            exact_grid_rate=test.exact_grid_rate,
-        ))
+    history = fit(model, pairs, len(dataset) - n_test, n_test, config,
+                  np.random.default_rng(config.seed))
     return history, model

@@ -18,7 +18,8 @@ from .layers import (
 )
 from .loss import bce_loss
 from .optim import OptimizerConfig, NetworkOptimizer, optimizer_step, init_optimizer_state
-from .gradcheck import grad_check, network_loss, relu_margin, draw_input_with_margin
+from .gradcheck import (MarginNotFound, grad_check, network_loss, relu_margin,
+                        draw_input_with_margin)
 from .checkpoint import save_network, load_network, CheckpointFormatError
 
 __all__ = [
@@ -27,6 +28,6 @@ __all__ = [
     "Network", "conv_forward", "deconv_forward", "activation_forward",
     "geometry_forward", "bce_loss", "OptimizerConfig", "NetworkOptimizer",
     "optimizer_step", "init_optimizer_state", "grad_check", "network_loss",
-    "relu_margin", "draw_input_with_margin", "save_network", "load_network",
-    "CheckpointFormatError",
+    "relu_margin", "draw_input_with_margin", "MarginNotFound", "save_network",
+    "load_network", "CheckpointFormatError",
 ]

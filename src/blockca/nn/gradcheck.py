@@ -10,6 +10,10 @@ from .loss import bce_loss
 FD_STEP = 1e-5
 
 
+class MarginNotFound(RuntimeError):
+    """Raised when no sampled input keeps every ReLU clear of its kink."""
+
+
 def network_loss(net: Network, x: np.ndarray, target: np.ndarray) -> float:
     pred, _ = net.forward(x)
     loss, _ = bce_loss(pred, target)
@@ -39,8 +43,8 @@ def draw_input_with_margin(net: Network, shape, rng: np.random.Generator,
         x = rng.random(shape)
         if relu_margin(net, x) > margin:
             return x
-    raise RuntimeError(f"no input cleared the ReLU margin {margin} "
-                       f"in {tries} tries")
+    raise MarginNotFound(f"no input cleared the ReLU margin {margin} "
+                         f"in {tries} tries")
 
 
 def grad_check(net: Network, x: np.ndarray, target: np.ndarray,

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from blockca import ca
+from blockca.ca import EdgeMode, Phase
 from blockca.cli import main
+from blockca.learn import build_model
+from blockca.nn import save_network
 
 
 def run(*argv):
@@ -168,6 +171,16 @@ class TestTrainEvalRollout:
         text = report.read_text()
         assert "cell_accuracy=" in text and "mean_loss=" in text
 
+    def test_eval_of_nan_checkpoint_exits_4(self, tmp_path, capsys):
+        net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=1)
+        for param, _ in net.parameters():
+            param[...] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_network(net, ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--n", "8",
+                     "--count", "10", "--density", "0", "--seed", "1"]) == 4
+        assert "error: non-finite prediction" in capsys.readouterr().err
+
     def test_eval_missing_checkpoint_exits_2(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--n", "8", "--count", "10", "--seed", "1"]) == 2
@@ -215,3 +228,9 @@ class TestCommuteAndGradcheck:
     def test_gradcheck_variants(self):
         assert run("gradcheck", "--n", "4", "--phase", "offset",
                    "--edge", "pad", "--bypass", "--seed", "6") == 0
+
+    def test_gradcheck_without_a_margin_input_exits_4(self, capsys):
+        assert run("gradcheck", "--n", "4", "--batch", "3", "--phase",
+                   "offset", "--edge", "pad") == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no input cleared")

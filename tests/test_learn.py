@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
-from blockca.ca import Direction, EdgeMode, Phase, evolve, random_grid, step
+from blockca.ca import (Direction, EdgeMode, Phase, evolve, random_grid,
+                        random_grids, step)
 from blockca.learn import (
     TrainConfig,
     TrainHistory,
+    apply_model_binary,
     build_model,
+    commute_experiment,
     commute_loss,
     evaluate,
+    evaluate_tensors,
     exact_phase_step,
     generate_dataset,
     rollout,
@@ -143,19 +147,15 @@ class TestTrain:
 class TestEvaluate:
     def test_oracle_substitute_scores_perfectly(self):
         ds = small_dataset(seed=5)
-
-        def oracle(x):
-            return np.stack([step((s[0] >= 0.5).astype(np.uint8))
-                             for s in x])[:, None].astype(np.float64)
-
-        result = evaluate(oracle, ds)
+        result = evaluate(step, ds)
         assert result.cell_accuracy == 1.0
         assert result.exact_grid_rate == 1.0
 
     def test_constant_half_predictor_is_coin_flip_accurate(self):
         ds = generate_dataset(16, 1000, Direction.FORWARD, Phase.ALIGNED,
                               EdgeMode.TORUS_WRAP, seed=6)
-        result = evaluate(lambda x: np.full_like(x, 0.5), ds)
+        # A constant 0.5 thresholds to all ones.
+        result = evaluate(lambda g: np.ones_like(g), ds)
         assert abs(result.cell_accuracy - 0.5) <= 0.02
         assert result.exact_grid_rate == 0.0
 
@@ -254,6 +254,19 @@ class TestCommute:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             verify_commuting_solutions([("identity", lambda g: g)], 0, 0)
+
+    def test_epoch_metrics_score_the_moving_label_on_the_held_out_pool(self):
+        evolution = exact_phase_step(Phase.ALIGNED)
+        config = TrainConfig(epochs=2, batch_size=16, seed=4)
+        history, net = commute_experiment(evolution, 3, config, n=8,
+                                          count=100, holdout_fraction=0.2)
+        held_out = random_grids(100, 8, 0.5, 4)[-20:]
+        want = evaluate_tensors(net, evolution(held_out),
+                                evolution(apply_model_binary(net, held_out)))
+        final = history.final
+        assert (final.test_loss, final.cell_accuracy,
+                final.exact_grid_rate) == \
+            (want.mean_loss, want.cell_accuracy, want.exact_grid_rate)
 
 
 class TestExactMaps:

@@ -64,44 +64,42 @@ def transpose(rows: list[int], dim: int) -> list[int]:
     return out
 
 
+def _echelon(rows, dim: int) -> dict[int, int]:
+    """Echelon basis of the rows' span over columns < dim: {pivot: row}.
+
+    A row's pivot is its lowest set bit below dim.  Each row is XORed with
+    the basis row of its pivot until it finds a free pivot or vanishes.
+    """
+    low = (1 << dim) - 1
+    basis = {}
+    for row in rows:
+        while row & low:
+            pivot = (row & -row).bit_length() - 1
+            if pivot not in basis:
+                basis[pivot] = row
+                break
+            row ^= basis[pivot]
+    return basis
+
+
 def rank(rows: list[int], dim: int) -> int:
     """Gaussian elimination over GF(2)."""
-    work = list(rows)
-    rk = 0
-    for col in range(dim):
-        pivot = None
-        for r in range(rk, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        for r in range(len(work)):
-            if r != rk and ((work[r] >> col) & 1):
-                work[r] ^= work[rk]
-        rk += 1
-    return rk
+    return len(_echelon(rows, dim))
 
 
 def inverse(rows: list[int], dim: int) -> list[int]:
-    """Matrix inverse by Gauss-Jordan on [M | I]; raises if singular."""
-    work = [rows[i] | (1 << (dim + i)) for i in range(dim)]
-    row_idx = 0
-    for col in range(dim):
-        pivot = None
-        for r in range(row_idx, dim):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular over GF(2)")
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for r in range(dim):
-            if r != row_idx and ((work[r] >> col) & 1):
-                work[r] ^= work[row_idx]
-        row_idx += 1
-    return [w >> dim for w in work]
+    """Matrix inverse by elimination on [M | I]; raises if singular."""
+    basis = _echelon([rows[i] | (1 << (dim + i)) for i in range(dim)], dim)
+    if len(basis) < dim:
+        raise ValueError("matrix is singular over GF(2)")
+    # From the highest pivot down, clear every bit above each row's own
+    # pivot with the row of that pivot, which is already reduced.
+    for pivot in range(dim - 1, -1, -1):
+        above = basis[pivot] & ((1 << dim) - 1) & -(2 << pivot)
+        while above:
+            basis[pivot] ^= basis[(above & -above).bit_length() - 1]
+            above &= above - 1
+    return [basis[pivot] >> dim for pivot in range(dim)]
 
 
 def is_invertible(rows: list[int], dim: int) -> bool:

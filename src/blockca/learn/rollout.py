@@ -9,15 +9,23 @@ from ..ca import Direction, EdgeMode, evolve, validate_grid, validate_grids
 from ..nn.layers import Network
 
 
+class TrainingDiverged(RuntimeError):
+    """Raised when a loss or a network's prediction stops being finite."""
+
+
 def predict_grids(model, grids: np.ndarray) -> np.ndarray:
     """A grid map's (count, n, n) float output on (count, n, n) grids.
 
     A grid map is a Network, whose output is its sigmoid probabilities, or
     a callable that takes and returns a (count, n, n) stack of binary
-    grids; the callable is called once for the whole stack.
+    grids; the callable is called once for the whole stack.  A non-finite
+    network output raises TrainingDiverged instead of being scored.
     """
     if isinstance(model, Network):
-        return model.predict(grids[:, None, :, :].astype(np.float64))[:, 0]
+        out = model.predict(grids[:, None, :, :].astype(np.float64))[:, 0]
+        if not np.isfinite(out).all():
+            raise TrainingDiverged("non-finite prediction")
+        return out
     out = validate_grids(model(grids))
     if out.shape != grids.shape:
         raise ValueError(f"grid map returned shape {out.shape} "

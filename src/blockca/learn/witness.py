@@ -34,40 +34,12 @@ from ..nn.layers import (
 )
 
 
-def _index_map_matrix(out_shape, in_shape, mapping) -> np.ndarray:
-    """0/1 matrix M with out.ravel() = M @ in.ravel() per an index map."""
-    mat = np.zeros((int(np.prod(out_shape)), int(np.prod(in_shape))))
-    for out_idx in np.ndindex(*out_shape):
-        src = mapping(out_idx)
-        if src is not None:
-            mat[np.ravel_multi_index(out_idx, out_shape),
-                np.ravel_multi_index(src, in_shape)] = 1.0
-    return mat
-
-
-def _geometry_stage(layer, shape):
-    c, h, w = shape
-    if isinstance(layer, WrapShiftLayer):
-        mat = _index_map_matrix(shape, shape,
-                                lambda o: (o[0], (o[1] - 1) % h, (o[2] - 1) % w))
-        return mat, np.zeros(mat.shape[0]), shape
-    if isinstance(layer, UnwrapShiftLayer):
-        mat = _index_map_matrix(shape, shape,
-                                lambda o: (o[0], (o[1] + 1) % h, (o[2] + 1) % w))
-        return mat, np.zeros(mat.shape[0]), shape
-    if isinstance(layer, Pad1Layer):
-        out_shape = (c, h + 2, w + 2)
-        def pad_src(o):
-            i, j = o[1] - 1, o[2] - 1
-            return (o[0], i, j) if 0 <= i < h and 0 <= j < w else None
-        mat = _index_map_matrix(out_shape, shape, pad_src)
-        return mat, np.zeros(mat.shape[0]), out_shape
-    if isinstance(layer, Crop1Layer):
-        out_shape = (c, h - 2, w - 2)
-        mat = _index_map_matrix(out_shape, shape,
-                                lambda o: (o[0], o[1] + 1, o[2] + 1))
-        return mat, np.zeros(mat.shape[0]), out_shape
-    raise TypeError(f"not a geometry layer: {layer!r}")
+def _probe_matrix(layer, shape) -> np.ndarray:
+    """Matrix of a parameter-free linear layer on (c, h, w) inputs: column
+    j is the layer's output on the j-th standard basis tensor."""
+    size = int(np.prod(shape))
+    images = layer.forward(np.eye(size).reshape(size, *shape))[0]
+    return np.ascontiguousarray(images.reshape(size, -1).T)
 
 
 def lower_network(net: Network, input_shape) -> list[tuple]:
@@ -75,6 +47,7 @@ def lower_network(net: Network, input_shape) -> list[tuple]:
 
     The network must end in a sigmoid optionally followed by geometry
     layers; the sigmoid itself is dropped (callers threshold logits at 0).
+    Convolutions lower through linops; geometry layers are probed.
     """
     stages = []
     shape = tuple(input_shape)
@@ -85,36 +58,25 @@ def lower_network(net: Network, input_shape) -> list[tuple]:
                 raise ValueError("more than one sigmoid in the stack")
             saw_sigmoid = True
             continue
-        if isinstance(layer, (WrapShiftLayer, UnwrapShiftLayer, Pad1Layer,
-                              Crop1Layer)):
-            if saw_sigmoid and isinstance(layer, Pad1Layer):
-                raise ValueError("zero padding after the sigmoid does not "
-                                 "commute with thresholding")
-            mat, bias, shape = _geometry_stage(layer, shape)
-            stages.append(("affine", mat, bias))
-            continue
-        if saw_sigmoid:
+        geometry = isinstance(layer, (WrapShiftLayer, UnwrapShiftLayer,
+                                      Pad1Layer, Crop1Layer))
+        if saw_sigmoid and isinstance(layer, Pad1Layer):
+            raise ValueError("zero padding after the sigmoid does not "
+                             "commute with thresholding")
+        if saw_sigmoid and not geometry:
             raise ValueError(f"cannot lower {layer.kind} after the sigmoid")
-        if isinstance(layer, ConvLayer):
-            mat, bias = conv_to_matrix(layer.kernel, shape)
-            k = layer.kernel
-            shape = (k.out_channels,
-                     (shape[1] - k.height) // k.stride + 1,
-                     (shape[2] - k.width) // k.stride + 1)
-            stages.append(("affine", mat, bias))
+        if geometry:
+            mat = _probe_matrix(layer, shape)
+            stages.append(("affine", mat, np.zeros(mat.shape[0])))
+        elif isinstance(layer, ConvLayer):
+            stages.append(("affine", *conv_to_matrix(layer.kernel, shape)))
         elif isinstance(layer, DeconvLayer):
-            mat, bias = deconv_to_matrix(layer.kernel, shape)
-            k = layer.kernel
-            shape = (k.in_channels,
-                     (shape[1] - 1) * k.stride + k.height,
-                     (shape[2] - 1) * k.stride + k.width)
-            stages.append(("affine", mat, bias))
+            stages.append(("affine", *deconv_to_matrix(layer.kernel, shape)))
         elif isinstance(layer, ReLULayer):
             stages.append(("relu",))
-        elif isinstance(layer, BypassLayer):
-            continue
-        else:
+        elif not isinstance(layer, BypassLayer):
             raise ValueError(f"cannot lower layer kind {layer.kind!r}")
+        shape = layer.forward(np.zeros((1, *shape)))[0].shape[1:]
     if not saw_sigmoid:
         raise ValueError("expected a sigmoid output head")
     return stages

@@ -164,14 +164,31 @@ def format_operator(op: AffineOperator) -> str:
     return "\n".join(lines) + "\n"
 
 
+class OperatorFormatError(ValueError):
+    """Raised when operator dump text is malformed."""
+
+
 def parse_operator(text: str) -> AffineOperator:
+    """Read the format_operator dump; malformed text raises
+    OperatorFormatError."""
     lines = [ln.strip() for ln in text.strip().splitlines()]
-    dim = int(lines[0])
+    if not lines:
+        raise OperatorFormatError("empty operator text")
+    head = lines[0]
+    dim = int(head) if head.isascii() and head.isdigit() else 0
+    if dim < 1:
+        raise OperatorFormatError(f"first line must be a positive dim, "
+                                  f"got {head!r}")
     if len(lines) != dim + 2:
-        raise ValueError(f"expected {dim} matrix rows plus a bias line")
-    rows = tuple(gf2.pack_bits([int(ch) for ch in ln]) for ln in lines[1:dim + 1])
-    bias = gf2.pack_bits([int(ch) for ch in lines[dim + 1]])
-    return AffineOperator(dim, rows, bias)
+        raise OperatorFormatError(f"expected {dim} matrix rows plus a bias "
+                                  f"line, got {len(lines) - 1} lines")
+    for number, ln in enumerate(lines[1:], start=2):
+        if len(ln) != dim or not set(ln) <= {"0", "1"}:
+            raise OperatorFormatError(f"line {number} must be {dim} "
+                                      f"characters of 0/1, got {ln!r}")
+    # Character c of a line is bit c of its packed row.
+    rows = tuple(int(ln[::-1], 2) for ln in lines[1:dim + 1])
+    return AffineOperator(dim, rows, int(lines[dim + 1][::-1], 2))
 
 
 @dataclass
@@ -237,17 +254,14 @@ def conv_to_matrix(kernel: KernelSpec, input_shape) -> tuple[np.ndarray, np.ndar
     oh = conv_output_hw(h, kernel.height, kernel.stride)
     ow = conv_output_hw(w, kernel.width, kernel.stride)
     co = kernel.out_channels
+    # Output (o, p, q) reads input (i, p*stride + a, q*stride + b) with
+    # weight [o, i, a, b]; every (row, col) pair occurs exactly once.
+    o, p, q, i, a, b = np.ix_(range(co), range(oh), range(ow), range(c),
+                              range(kernel.height), range(kernel.width))
+    rows = (o * oh + p) * ow + q
+    cols = (i * h + p * kernel.stride + a) * w + q * kernel.stride + b
     mat = np.zeros((co * oh * ow, c * h * w))
-    for o in range(co):
-        for p in range(oh):
-            for q in range(ow):
-                row = (o * oh + p) * ow + q
-                for i in range(c):
-                    for a in range(kernel.height):
-                        for b in range(kernel.width):
-                            col = (i * h + p * kernel.stride + a) * w \
-                                + q * kernel.stride + b
-                            mat[row, col] = kernel.weights[o, i, a, b]
+    mat[rows, cols] = kernel.weights[:, None, None]
     bias = np.repeat(operation_bias(kernel, co), oh * ow)
     return mat, bias
 

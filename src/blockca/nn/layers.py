@@ -198,7 +198,10 @@ class SigmoidLayer:
     kind = "sigmoid"
 
     def forward(self, x):
-        y = 1.0 / (1.0 + np.exp(-x))
+        # exp overflows to inf below about -709, and 1 / (1 + inf) is
+        # exactly 0.0, so the overflow warning is silenced, not avoided.
+        with np.errstate(over="ignore"):
+            y = 1.0 / (1.0 + np.exp(-x))
         return y, y
 
     def backward(self, grad_y, y):

@@ -181,6 +181,21 @@ class TestTrainEvalRollout:
                      "--count", "10", "--density", "0", "--seed", "1"]) == 4
         assert "error: non-finite prediction" in capsys.readouterr().err
 
+    def test_rollout_of_nan_checkpoints_exits_4(self, tmp_path, capsys):
+        ckpts = []
+        for phase in (Phase.ALIGNED, Phase.OFFSET):
+            net = build_model(phase, EdgeMode.TORUS_WRAP, seed=1)
+            for param, _ in net.parameters():
+                param[...] = np.nan
+            ckpts.append(tmp_path / f"{phase.name.lower()}.ckpt")
+            save_network(net, ckpts[-1])
+        assert main(["rollout", "--checkpoint-aligned", str(ckpts[0]),
+                     "--checkpoint-offset", str(ckpts[1]), "--n", "8",
+                     "--count", "5", "--steps", "4", "--seed", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: non-finite prediction"]
+        assert "divergence_at_" not in captured.out
+
     def test_eval_missing_checkpoint_exits_2(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--n", "8", "--count", "10", "--seed", "1"]) == 2

@@ -10,6 +10,7 @@ from blockca.ca import Phase
 from blockca.linops import (
     AffineOperator,
     KernelSpec,
+    OperatorFormatError,
     apply_operator,
     build_full_step_operator,
     build_phase_operator,
@@ -165,6 +166,18 @@ class TestFullStepOperator:
         assert operator_is_invertible(op)
 
 
+@st.composite
+def near_dumps(draw):
+    """Operator dump text whose head and lines are often, not always, well
+    formed, so fuzzing reaches the row checks and the valid path."""
+    dim = draw(st.integers(1, 3))
+    line = st.text(alphabet="01", min_size=dim, max_size=dim) \
+        | st.text(alphabet="012 ", max_size=4)
+    lines = draw(st.lists(line, min_size=dim, max_size=dim + 2))
+    head = draw(st.sampled_from([str(dim), f" {dim} ", "-1", "x"]))
+    return "\n".join([head, *lines])
+
+
 class TestOperatorDump:
     def test_round_trip(self):
         op = build_full_step_operator(ca.random_grid(4, 0.5, 6))
@@ -173,6 +186,44 @@ class TestOperatorDump:
     def test_layout(self):
         op = AffineOperator(2, (0b01, 0b11), 0b10)
         assert format_operator(op) == "2\n10\n11\n01\n"
+
+    @pytest.mark.parametrize("text", ["", " \n\n"])
+    def test_empty_text_rejected(self, text):
+        with pytest.raises(OperatorFormatError, match="empty"):
+            parse_operator(text)
+
+    @pytest.mark.parametrize("text", ["x\n10\n11\n01\n", "2.0\n10\n11\n01\n"])
+    def test_non_integer_dim_rejected(self, text):
+        with pytest.raises(OperatorFormatError, match="dim"):
+            parse_operator(text)
+
+    def test_negative_dim_rejected(self):
+        with pytest.raises(OperatorFormatError, match="dim"):
+            parse_operator("-1\n")
+
+    @pytest.mark.parametrize("text", ["2\n10\n11\n", "2\n10\n11\n01\n00\n"])
+    def test_wrong_line_count_rejected(self, text):
+        with pytest.raises(OperatorFormatError, match="rows plus a bias"):
+            parse_operator(text)
+
+    @pytest.mark.parametrize("text", [
+        "2\n12\n11\n01\n",   # a '2' cell
+        "2\n1\n11\n01\n",    # short row
+        "2\n10\n11\n011\n",  # long bias
+        "2\n1 0\n11\n01\n",  # inner space
+    ])
+    def test_row_not_dim_bits_rejected(self, text):
+        with pytest.raises(OperatorFormatError, match="characters of 0/1"):
+            parse_operator(text)
+
+    @given(st.one_of(st.text(), near_dumps()))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_is_rejected_or_round_trips(self, text):
+        try:
+            op = parse_operator(text)
+        except OperatorFormatError:
+            return
+        assert parse_operator(format_operator(op)) == op
 
 
 def random_kernel(rng, stride_choices=(1, 2)):

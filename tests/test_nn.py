@@ -1,5 +1,7 @@
 """Layers, loss, optimizers, checkpoints."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,12 @@ class TestActivationsAndGeometry:
 
     def test_sigmoid_at_zero(self):
         assert activation_forward("sigmoid", np.zeros(3)).tolist() == [0.5] * 3
+
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = activation_forward("sigmoid", np.array([-800.0, 0.0, 800.0]))
+        assert out.tolist() == [0.0, 0.5, 1.0]
 
     def test_bypass(self):
         x = np.random.default_rng(0).normal(size=(2, 3))

@@ -10,7 +10,7 @@ from blockca.learn.witness import (
     lower_network,
     witness_logits,
 )
-from blockca.nn import ConvLayer, Network, ReLULayer
+from blockca.nn import ConvLayer, Network, Pad1Layer, ReLULayer, SigmoidLayer
 
 
 def _sigmoid(z):
@@ -55,3 +55,26 @@ def test_network_without_sigmoid_head_rejected():
     net = Network([ConvLayer.create(rng, 1, 2, 2, 2), ReLULayer()])
     with pytest.raises(ValueError):
         lower_network(net, (1, 4, 4))
+
+
+class _UnknownLayer:
+    kind = "mystery"
+
+    def forward(self, x):
+        return x, None
+
+
+@pytest.mark.parametrize("tail,message", [
+    ([SigmoidLayer(), Pad1Layer()], "zero padding after the sigmoid"),
+    ([SigmoidLayer(), ReLULayer()], "cannot lower relu after the sigmoid"),
+    ([SigmoidLayer(), _UnknownLayer()],
+     "cannot lower mystery after the sigmoid"),
+    ([_UnknownLayer(), SigmoidLayer()], "cannot lower layer kind 'mystery'"),
+    ([SigmoidLayer(), SigmoidLayer()], "more than one sigmoid"),
+])
+def test_unlowerable_stacks_rejected(tail, message):
+    rng = np.random.default_rng(0)
+    net = Network([ConvLayer.create(rng, 1, 1, 1, 1), *tail])
+    with pytest.raises(ValueError, match=message):
+        lower_network(net, (1, 4, 4))
+

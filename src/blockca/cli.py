@@ -74,18 +74,6 @@ GRADCHECK_TOLERANCE = 1e-4
 LOWER_TOLERANCE = 1e-10
 
 
-def _phase(value: str) -> Phase:
-    return Phase.ALIGNED if value == "aligned" else Phase.OFFSET
-
-
-def _edge(value: str) -> EdgeMode:
-    return EdgeMode.TORUS_WRAP if value == "torus" else EdgeMode.ZERO_PAD_CROP
-
-
-def _direction(value: str) -> Direction:
-    return Direction.FORWARD if value == "fwd" else Direction.BACKWARD
-
-
 def _parse_random_spec(spec: str):
     parts = spec.split(",")
     if len(parts) != 3:
@@ -155,8 +143,8 @@ def _train_manifest(args, command: str) -> dict:
 
 def cmd_simulate(args) -> int:
     grid = _load_start_grid(args)
-    trajectory = evolve(grid, args.steps, _edge(args.edge),
-                        _direction(args.direction))
+    trajectory = evolve(grid, args.steps, EdgeMode(args.edge),
+                        Direction(args.direction))
     _write_text(args.out, format_trajectory(trajectory))
     return EXIT_OK
 
@@ -241,8 +229,8 @@ def cmd_lower_check(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    ds = generate_dataset(args.n, args.count, _direction(args.direction),
-                          _phase(args.phase), _edge(args.edge), args.seed,
+    ds = generate_dataset(args.n, args.count, Direction(args.direction),
+                          Phase(args.phase), EdgeMode(args.edge), args.seed,
                           args.density)
     if not verify_dataset(ds):
         raise TrainingDiverged("generated targets failed re-verification")
@@ -258,10 +246,10 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     count = args.train_count + args.test_count
-    ds = generate_dataset(args.n, count, _direction(args.direction),
-                          _phase(args.phase), _edge(args.edge),
+    ds = generate_dataset(args.n, count, Direction(args.direction),
+                          Phase(args.phase), EdgeMode(args.edge),
                           args.data_seed, args.density)
-    net = build_model(_phase(args.phase), _edge(args.edge),
+    net = build_model(Phase(args.phase), EdgeMode(args.edge),
                       bypass_endpoints=args.bypass, seed=args.model_seed)
     history, net = train(net, ds, _train_config(args),
                          holdout_fraction=args.test_count / count)
@@ -282,8 +270,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     net = load_network(args.checkpoint)
-    ds = generate_dataset(args.n, args.count, _direction(args.direction),
-                          _phase(args.phase), _edge(args.edge), args.seed,
+    ds = generate_dataset(args.n, args.count, Direction(args.direction),
+                          Phase(args.phase), EdgeMode(args.edge), args.seed,
                           args.density)
     result = evaluate(net, ds)
     report = (f"cell_accuracy={result.cell_accuracy:.9g}\n"
@@ -348,7 +336,7 @@ def cmd_commute(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .ca import step as exact_step
 
-    phase, edge = _phase(args.phase), _edge(args.edge)
+    phase, edge = Phase(args.phase), EdgeMode(args.edge)
     net = build_model(phase, edge, bypass_endpoints=args.bypass,
                       seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)

@@ -211,6 +211,9 @@ class KernelSpec:
 
     def __post_init__(self):
         expect = (self.out_channels, self.in_channels, self.height, self.width)
+        if min(*expect, self.stride) < 1:
+            raise ValueError(f"channels, kernel size and stride must be "
+                             f"positive, got {expect} stride {self.stride}")
         if tuple(self.weights.shape) != expect:
             raise ValueError(f"weights shape {self.weights.shape} does not "
                              f"match declared {expect}")
@@ -240,6 +243,18 @@ def operation_bias(kernel: KernelSpec, out_side_channels: int) -> np.ndarray:
                      f"the operation's {out_side_channels} output channels")
 
 
+def _matrix_entries(kernel: KernelSpec, oh: int, ow: int, h: int, w: int):
+    """(rows, cols) of weights[:, None, None] in the matrix of the conv from
+    (in_channels, h, w) to (out_channels, oh, ow): output (o, p, q) reads
+    input (i, p*stride + a, q*stride + b) with weight [o, i, a, b]; every
+    (row, col) pair occurs exactly once."""
+    s = kernel.stride
+    o, p, q, i, a, b = np.ix_(range(kernel.out_channels), range(oh),
+                              range(ow), range(kernel.in_channels),
+                              range(kernel.height), range(kernel.width))
+    return (o * oh + p) * ow + q, (i * h + p * s + a) * w + q * s + b
+
+
 def conv_to_matrix(kernel: KernelSpec, input_shape) -> tuple[np.ndarray, np.ndarray]:
     """Dense lowering of a strided convolution.
 
@@ -254,12 +269,7 @@ def conv_to_matrix(kernel: KernelSpec, input_shape) -> tuple[np.ndarray, np.ndar
     oh = conv_output_hw(h, kernel.height, kernel.stride)
     ow = conv_output_hw(w, kernel.width, kernel.stride)
     co = kernel.out_channels
-    # Output (o, p, q) reads input (i, p*stride + a, q*stride + b) with
-    # weight [o, i, a, b]; every (row, col) pair occurs exactly once.
-    o, p, q, i, a, b = np.ix_(range(co), range(oh), range(ow), range(c),
-                              range(kernel.height), range(kernel.width))
-    rows = (o * oh + p) * ow + q
-    cols = (i * h + p * kernel.stride + a) * w + q * kernel.stride + b
+    rows, cols = _matrix_entries(kernel, oh, ow, h, w)
     mat = np.zeros((co * oh * ow, c * h * w))
     mat[rows, cols] = kernel.weights[:, None, None]
     bias = np.repeat(operation_bias(kernel, co), oh * ow)
@@ -275,9 +285,9 @@ def deconv_to_matrix(kernel: KernelSpec, input_shape) -> tuple[np.ndarray, np.nd
                          f"{kernel.out_channels}")
     oh = (h - 1) * kernel.stride + kernel.height
     ow = (w - 1) * kernel.stride + kernel.width
-    unbiased = KernelSpec(kernel.out_channels, kernel.in_channels,
-                          kernel.height, kernel.width, kernel.stride,
-                          kernel.weights, np.zeros(kernel.out_channels))
-    conv_mat, _ = conv_to_matrix(unbiased, (kernel.in_channels, oh, ow))
-    bias = np.repeat(operation_bias(kernel, kernel.in_channels), oh * ow)
-    return conv_mat.T.copy(), bias
+    ci = kernel.in_channels
+    rows, cols = _matrix_entries(kernel, h, w, oh, ow)
+    mat = np.zeros((ci * oh * ow, c * h * w))
+    mat[cols, rows] = kernel.weights[:, None, None]
+    bias = np.repeat(operation_bias(kernel, ci), oh * ow)
+    return mat, bias

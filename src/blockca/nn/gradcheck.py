@@ -26,13 +26,10 @@ def relu_margin(net: Network, x: np.ndarray) -> float:
     Finite differences are only trustworthy away from the kinks, so inputs
     with a small margin should be resampled before checking.
     """
-    margin = np.inf
-    for layer in net.layers:
-        y, cache = layer.forward(x)
-        if isinstance(layer, ReLULayer):
-            margin = min(margin, float(np.abs(cache).min()))
-        x = y
-    return margin
+    _, caches = net.forward(x)
+    return min((float(np.abs(cache).min())
+                for layer, cache in zip(net.layers, caches)
+                if isinstance(layer, ReLULayer)), default=np.inf)
 
 
 def draw_input_with_margin(net: Network, shape, rng: np.random.Generator,

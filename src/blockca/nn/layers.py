@@ -11,55 +11,69 @@ run concurrently.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..linops import KernelSpec, conv_output_hw, operation_bias
 
 
-def _patch_cols(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Non-overlapping kh x kw patches as columns: (N,C,H,W) ->
-    (N, C*kh*kw, (H/kh)*(W/kw))."""
+def _unfold(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Every kh x kw window of x, stride apart, as a column: (N,C,H,W) ->
+    (N, C*kh*kw, OH*OW), rows ordered (channel, window row, window col)."""
     n, c, h, wd = x.shape
-    oh, ow = h // kh, wd // kw
-    v = x.reshape(n, c, oh, kh, ow, kw).transpose(0, 1, 3, 5, 2, 4)
+    oh, ow = (h - kh) // stride + 1, (wd - kw) // stride + 1
+    if stride == kh == kw:
+        # Non-overlapping windows are a reshape of x.
+        v = x.reshape(n, c, oh, kh, ow, kw).transpose(0, 1, 3, 5, 2, 4)
+    else:
+        v = sliding_window_view(x, (kh, kw), axis=(2, 3))
+        v = v[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
     return v.reshape(n, c * kh * kw, oh * ow)
+
+
+def _fold(cols: np.ndarray, oh: int, ow: int, kh: int, kw: int,
+          stride: int) -> np.ndarray:
+    """Adjoint of _unfold: add each column back onto its window of an
+    (N, C, (OH-1)*stride + kh, (OW-1)*stride + kw) array."""
+    n = cols.shape[0]
+    c = cols.shape[1] // (kh * kw)
+    h, wd = (oh - 1) * stride + kh, (ow - 1) * stride + kw
+    v = cols.reshape(n, c, kh, kw, oh, ow)
+    if stride == kh == kw:
+        # Non-overlapping windows: a pixel shuffle.
+        return v.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h, wd)
+    out = np.zeros((n, c, h, wd))
+    for a in range(kh):
+        for b in range(kw):
+            out[:, :, a:a + stride * oh:stride,
+                b:b + stride * ow:stride] += v[:, :, a, b]
+    return out
 
 
 def _conv_raw(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Strided cross-correlation, no bias: (N,Ci,H,W) -> (N,Co,OH,OW)."""
-    n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
-    oh = conv_output_hw(h, kh, stride)
-    ow = conv_output_hw(wd, kw, stride)
-    if stride == kh == kw:
-        # Non-overlapping windows: one matmul over patch columns.
-        out = np.matmul(w.reshape(co, -1), _patch_cols(x, kh, kw))
-        return out.reshape(n, co, oh, ow)
-    out = np.zeros((n, co, oh * ow))
-    for a in range(kh):
-        for b in range(kw):
-            xs = x[:, :, a:a + stride * oh:stride, b:b + stride * ow:stride]
-            out += np.matmul(w[:, :, a, b], xs.reshape(n, ci, oh * ow))
-    return out.reshape(n, co, oh, ow)
+    oh = conv_output_hw(x.shape[2], kh, stride)
+    ow = conv_output_hw(x.shape[3], kw, stride)
+    out = np.matmul(w.reshape(co, -1), _unfold(x, kh, kw, stride))
+    return out.reshape(x.shape[0], co, oh, ow)
 
 
 def _deconv_raw(y: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Adjoint of _conv_raw with the same kernel: (N,Co,h,w) -> (N,Ci,OH,OW)."""
     n, co, h, wd = y.shape
-    _, ci, kh, kw = w.shape
-    oh = (h - 1) * stride + kh
-    ow = (wd - 1) * stride + kw
-    if stride == kh == kw:
-        out = np.matmul(w.reshape(co, -1).T, y.reshape(n, co, h * wd))
-        out = out.reshape(n, ci, kh, kw, h, wd).transpose(0, 1, 4, 2, 5, 3)
-        return out.reshape(n, ci, oh, ow)
-    out = np.zeros((n, ci, oh, ow))
-    y_flat = y.reshape(n, co, h * wd)
-    w_t = w.transpose(1, 0, 2, 3)
-    for a in range(kh):
-        for b in range(kw):
-            contrib = np.matmul(w_t[:, :, a, b], y_flat).reshape(n, ci, h, wd)
-            out[:, :, a:a + stride * h:stride, b:b + stride * wd:stride] += contrib
-    return out
+    kh, kw = w.shape[2:]
+    cols = np.matmul(w.reshape(co, -1).T, y.reshape(n, co, h * wd))
+    return _fold(cols, h, wd, kh, kw, stride)
+
+
+def _kernel_grad(small: np.ndarray, big: np.ndarray, kh: int, kw: int,
+                 stride: int) -> np.ndarray:
+    """Weight gradient of a convolution and of its adjoint: entry [o,i,a,b]
+    sums small[:, o, p, q] * big[:, i, p*stride + a, q*stride + b]."""
+    cols = _unfold(big, kh, kw, stride)
+    cols = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
+    rows = small.transpose(1, 0, 2, 3).reshape(small.shape[1], -1)
+    return (rows @ cols.T).reshape(small.shape[1], -1, kh, kw)
 
 
 def conv_forward(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
@@ -88,13 +102,21 @@ def _init_weights(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-class ConvLayer:
-    kind = "conv"
+class _KernelLayer:
+    """Parameters and gradients shared by the convolution layers."""
 
     def __init__(self, kernel: KernelSpec):
         self.kernel = kernel
         self.grad_weights = np.zeros_like(kernel.weights)
         self.grad_bias = np.zeros_like(kernel.bias)
+
+    def parameters(self):
+        return [(self.kernel.weights, lambda: self.grad_weights),
+                (self.kernel.bias, lambda: self.grad_bias)]
+
+
+class ConvLayer(_KernelLayer):
+    kind = "conv"
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_channels: int,
@@ -111,27 +133,13 @@ class ConvLayer:
 
     def backward(self, grad_y, x):
         k = self.kernel
-        gy = grad_y.transpose(1, 0, 2, 3).reshape(k.out_channels, -1)
-        if k.stride == k.height == k.width:
-            cols = _patch_cols(x, k.height, k.width)
-            cols = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
-            self.grad_weights = (gy @ cols.T).reshape(k.weights.shape)
-        else:
-            for a in range(k.height):
-                for b in range(k.width):
-                    xs = x[:, :, a:a + k.stride * grad_y.shape[2]:k.stride,
-                           b:b + k.stride * grad_y.shape[3]:k.stride]
-                    xs = xs.transpose(1, 0, 2, 3).reshape(k.in_channels, -1)
-                    self.grad_weights[:, :, a, b] = gy @ xs.T
+        self.grad_weights = _kernel_grad(grad_y, x, k.height, k.width,
+                                         k.stride)
         self.grad_bias = grad_y.sum(axis=(0, 2, 3))
         return _deconv_raw(grad_y, k.weights, k.stride)
 
-    def parameters(self):
-        return [(self.kernel.weights, lambda: self.grad_weights),
-                (self.kernel.bias, lambda: self.grad_bias)]
 
-
-class DeconvLayer:
+class DeconvLayer(_KernelLayer):
     """Transposed convolution layer.
 
     The kernel is stored in the orientation of the convolution this layer
@@ -140,11 +148,6 @@ class DeconvLayer:
     """
 
     kind = "deconv"
-
-    def __init__(self, kernel: KernelSpec):
-        self.kernel = kernel
-        self.grad_weights = np.zeros_like(kernel.weights)
-        self.grad_bias = np.zeros_like(kernel.bias)
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_channels: int,
@@ -163,24 +166,10 @@ class DeconvLayer:
         # Input gradient of a transposed convolution is the matching
         # forward convolution of the output gradient.
         k = self.kernel
-        xf = x.transpose(1, 0, 2, 3).reshape(k.out_channels, -1)
-        if k.stride == k.height == k.width:
-            gcols = _patch_cols(grad_y, k.height, k.width)
-            gcols = gcols.transpose(1, 0, 2).reshape(gcols.shape[1], -1)
-            self.grad_weights = (xf @ gcols.T).reshape(k.weights.shape)
-        else:
-            for a in range(k.height):
-                for b in range(k.width):
-                    gs = grad_y[:, :, a:a + k.stride * x.shape[2]:k.stride,
-                                b:b + k.stride * x.shape[3]:k.stride]
-                    gs = gs.transpose(1, 0, 2, 3).reshape(k.in_channels, -1)
-                    self.grad_weights[:, :, a, b] = xf @ gs.T
+        self.grad_weights = _kernel_grad(x, grad_y, k.height, k.width,
+                                         k.stride)
         self.grad_bias = grad_y.sum(axis=(0, 2, 3))
         return _conv_raw(grad_y, k.weights, k.stride)
-
-    def parameters(self):
-        return [(self.kernel.weights, lambda: self.grad_weights),
-                (self.kernel.bias, lambda: self.grad_bias)]
 
 
 class ReLULayer:
@@ -269,18 +258,6 @@ STATELESS_LAYERS = {
     cls.kind: cls for cls in (ReLULayer, SigmoidLayer, BypassLayer, Pad1Layer,
                               Crop1Layer, WrapShiftLayer, UnwrapShiftLayer)
 }
-
-
-def activation_forward(kind: str, x: np.ndarray) -> np.ndarray:
-    if kind not in ("relu", "sigmoid", "bypass"):
-        raise ValueError(f"unknown activation {kind!r}")
-    return STATELESS_LAYERS[kind]().forward(x)[0]
-
-
-def geometry_forward(kind: str, x: np.ndarray) -> np.ndarray:
-    if kind not in ("pad1", "crop1", "wrapshift", "unwrapshift"):
-        raise ValueError(f"unknown geometry op {kind!r}")
-    return STATELESS_LAYERS[kind]().forward(x)[0]
 
 
 class Network:

@@ -7,7 +7,14 @@ from blockca import ca
 from blockca.ca import EdgeMode, Phase
 from blockca.cli import main
 from blockca.learn import build_model
-from blockca.nn import save_network
+from blockca.nn import (
+    CheckpointFormatError,
+    ConvLayer,
+    Network,
+    SigmoidLayer,
+    load_network,
+    save_network,
+)
 
 
 def run(*argv):
@@ -199,6 +206,35 @@ class TestTrainEvalRollout:
     def test_eval_missing_checkpoint_exits_2(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--n", "8", "--count", "10", "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("old,new", [
+        (b"layer conv 2 1 2 2 2 2\n", b"layer conv 2 1\n"),
+        (b"layers 2\n", b"layers six\n"),
+        (b"conv 2 1 2 2 2 2", b"conv -2 1 2 2 2 2"),
+        (b"conv 2 1 2 2 2 2", b"conv 2 1 2 2 0 2"),
+        (b"conv 2 1 2 2 2 2", b"conv 2 1 99999999 99999999 2 2"),
+        (b"layer sigmoid\n", b"layer\n"),
+        (b"layer sigmoid\n", b"layer sigmoid\njunk"),
+        (b"layers 2\n", b"layers 1\n"),
+        (b"layers 2\n", b"layers 02\n"),
+        (b"layer sigmoid\n", b"layer sigmoid relu\n"),
+        (b"layer sigmoid\n", b"layer tanh\n"),
+        (b"layer sigmoid\n", b"layer sigm\xffid\n"),
+    ])
+    def test_eval_of_malformed_checkpoint_exits_2(self, tmp_path, capsys,
+                                                  old, new):
+        rng = np.random.default_rng(1)
+        ckpt = tmp_path / "bad.ckpt"
+        save_network(Network([ConvLayer.create(rng, 1, 2, 2, 2),
+                              SigmoidLayer()]), ckpt)
+        assert old in ckpt.read_bytes()
+        ckpt.write_bytes(ckpt.read_bytes().replace(old, new))
+        with pytest.raises(CheckpointFormatError):
+            load_network(ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--n", "8",
+                     "--count", "10", "--seed", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_rollout_writes_divergence_report(self, trained, tmp_path):
         _, _, ckpt_a, ckpt_o = trained

@@ -18,6 +18,9 @@ from blockca.nn import (
 )
 from blockca.learn import build_model
 
+# Overlapping (stride < kernel) and gapped (stride > kernel) windows.
+WINDOWS = [(2, 1), (3, 1), (3, 2), (1, 2), (2, 3)]
+
 
 def exact_targets(x, phase, edge):
     grids = [step((sample[0] >= 0.5).astype(np.uint8), phase, edge)
@@ -81,24 +84,26 @@ def test_deconv_gradient_matches_finite_differences_alone():
     assert grad_check(net, x, t) <= 1e-6
 
 
-def test_overlapping_stride_one_conv_gradients():
-    # Exercises the general (stride < kernel) backward path.
+@pytest.mark.parametrize("k,s", WINDOWS)
+def test_window_conv_gradients(k, s):
+    # Exercises the general (stride != kernel) backward path.
     rng = np.random.default_rng(4)
-    kernel = KernelSpec(2, 1, 2, 2, 1, rng.normal(size=(2, 1, 2, 2)),
+    kernel = KernelSpec(2, 1, k, k, s, rng.normal(size=(2, 1, k, k)),
                         rng.normal(size=2))
     net = Network([ConvLayer(kernel), SigmoidLayer()])
-    x = rng.random((2, 1, 5, 5))
+    x = rng.random((2, 1, k + 3 * s, k + 3 * s))
     t = (rng.random((2, 2, 4, 4)) < 0.5).astype(np.float64)
     assert grad_check(net, x, t) <= 1e-6
 
 
-def test_overlapping_stride_one_deconv_gradients():
+@pytest.mark.parametrize("k,s", WINDOWS)
+def test_window_deconv_gradients(k, s):
     rng = np.random.default_rng(5)
-    kernel = KernelSpec(2, 1, 3, 3, 1, rng.normal(size=(2, 1, 3, 3)),
+    kernel = KernelSpec(2, 1, k, k, s, rng.normal(size=(2, 1, k, k)),
                         rng.normal(size=1))
     net = Network([DeconvLayer(kernel), SigmoidLayer()])
     x = rng.random((1, 2, 3, 3))
-    t = (rng.random((1, 1, 5, 5)) < 0.5).astype(np.float64)
+    t = (rng.random((1, 1, k + 2 * s, k + 2 * s)) < 0.5).astype(np.float64)
     assert grad_check(net, x, t) <= 1e-6
 
 

@@ -1,9 +1,13 @@
 """Layers, loss, optimizers, checkpoints."""
 
+import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockca.ca import random_grid
 from blockca.linops import KernelSpec
@@ -12,6 +16,7 @@ from blockca.nn import (
     ConvLayer,
     Crop1Layer,
     DeconvLayer,
+    CheckpointFormatError,
     Network,
     OptimizerConfig,
     Pad1Layer,
@@ -19,17 +24,18 @@ from blockca.nn import (
     SigmoidLayer,
     UnwrapShiftLayer,
     WrapShiftLayer,
-    activation_forward,
     bce_loss,
     conv_forward,
     deconv_forward,
-    geometry_forward,
     init_optimizer_state,
     load_network,
     optimizer_step,
     save_network,
 )
 from blockca.nn.optim import NetworkOptimizer
+
+# Overlapping (stride < kernel) and gapped (stride > kernel) windows.
+WINDOWS = [(2, 1), (3, 1), (3, 2), (1, 2), (2, 3)]
 
 
 class TestConvForward:
@@ -69,61 +75,60 @@ class TestDeconvForward:
         expected[0, 0, 2:4, 0:2] = kernel.weights[0, 0]
         assert np.allclose(out, expected)
 
-    def test_adjoint_of_conv(self):
+    @pytest.mark.parametrize("k,s", [(2, 2), *WINDOWS])
+    def test_adjoint_of_conv(self, k, s):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            co, ci, k, s = 3, 2, 2, 2
+            co, ci = 3, 2
             kernel = KernelSpec(co, ci, k, k, s,
                                 rng.normal(size=(co, ci, k, k)), np.zeros(co))
-            x = rng.normal(size=(2, ci, 8, 8))
+            x = rng.normal(size=(2, ci, k + 3 * s, k + 3 * s))
             y = rng.normal(size=(2, co, 4, 4))
             lhs = np.sum(conv_forward(kernel, x) * y)
             rhs = np.sum(x * deconv_forward(kernel, y))
             assert abs(lhs - rhs) <= 1e-8
 
 
+def fwd(layer, x):
+    return layer.forward(x)[0]
+
+
 class TestActivationsAndGeometry:
     def test_relu(self):
-        out = activation_forward("relu", np.array([-1.0, 0.0, 2.0]))
+        out = fwd(ReLULayer(), np.array([-1.0, 0.0, 2.0]))
         assert out.tolist() == [0.0, 0.0, 2.0]
 
     def test_sigmoid_at_zero(self):
-        assert activation_forward("sigmoid", np.zeros(3)).tolist() == [0.5] * 3
+        assert fwd(SigmoidLayer(), np.zeros(3)).tolist() == [0.5] * 3
 
     def test_sigmoid_saturates_without_overflow_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = activation_forward("sigmoid", np.array([-800.0, 0.0, 800.0]))
+            out = fwd(SigmoidLayer(), np.array([-800.0, 0.0, 800.0]))
         assert out.tolist() == [0.0, 0.5, 1.0]
 
     def test_bypass(self):
         x = np.random.default_rng(0).normal(size=(2, 3))
-        assert np.array_equal(activation_forward("bypass", x), x)
+        assert np.array_equal(fwd(BypassLayer(), x), x)
 
     def test_crop_undoes_pad(self):
         x = np.random.default_rng(1).normal(size=(2, 3, 4, 4))
-        assert np.array_equal(geometry_forward("crop1",
-                                               geometry_forward("pad1", x)), x)
+        assert np.array_equal(fwd(Crop1Layer(), fwd(Pad1Layer(), x)), x)
 
     def test_unwrap_undoes_wrap(self):
         x = np.random.default_rng(2).normal(size=(1, 1, 4, 4))
         assert np.array_equal(
-            geometry_forward("unwrapshift", geometry_forward("wrapshift", x)),
-            x)
+            fwd(UnwrapShiftLayer(), fwd(WrapShiftLayer(), x)), x)
 
     def test_wrap_moves_one_hot_diagonally(self):
         x = np.zeros((1, 1, 4, 4))
         x[0, 0, 0, 0] = 1.0
-        out = geometry_forward("wrapshift", x)
+        out = fwd(WrapShiftLayer(), x)
         assert out[0, 0, 1, 1] == 1.0 and out.sum() == 1.0
 
     def test_crop_needs_three_cells(self):
         with pytest.raises(ValueError):
-            geometry_forward("crop1", np.zeros((1, 1, 2, 2)))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            activation_forward("tanh", np.zeros(2))
+            fwd(Crop1Layer(), np.zeros((1, 1, 2, 2)))
 
 
 class TestNetworkForward:
@@ -272,6 +277,36 @@ class TestCheckpoint:
         save_network(net, path)
         x = rng.random((1, 1, 6, 6))
         assert np.array_equal(net.predict(x), load_network(path).predict(x))
+
+
+def _fuzz_base() -> bytes:
+    rng = np.random.default_rng(10)
+    net = Network([WrapShiftLayer(), ConvLayer.create(rng, 1, 2, 2, 2),
+                   ReLULayer(), DeconvLayer.create(rng, 2, 1, 2, 2),
+                   SigmoidLayer(), UnwrapShiftLayer()])
+    with tempfile.TemporaryDirectory() as root:
+        path = pathlib.Path(root) / "base.ckpt"
+        save_network(net, path)
+        return path.read_bytes()
+
+
+FUZZ_BASE = _fuzz_base()
+
+
+@settings(max_examples=300, deadline=None)
+@given(at=st.integers(0, len(FUZZ_BASE)), drop=st.integers(0, 9),
+       insert=st.binary(max_size=9))
+def test_edited_checkpoint_fails_cleanly_or_round_trips(tmp_path_factory, at,
+                                                        drop, insert):
+    data = FUZZ_BASE[:at] + insert + FUZZ_BASE[at + drop:]
+    path = tmp_path_factory.getbasetemp() / "edited.ckpt"
+    path.write_bytes(data)
+    try:
+        net = load_network(path)
+    except CheckpointFormatError:
+        return
+    save_network(net, path)
+    assert path.read_bytes() == data
 
 
 class TestLoweringAtFullScale:

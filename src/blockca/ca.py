@@ -44,22 +44,48 @@ class GridFormatError(ValueError):
     """Raised when grid text cannot be parsed."""
 
 
-def _build_block_table() -> np.ndarray:
-    """Enumerate the 16-entry block transform.
+def block_codes(grids) -> np.ndarray:
+    """4-bit code of every aligned 2x2 block of a (..., n, n) stack of binary
+    grids, as a (..., n/2, n/2) uint8 array.
 
     Block bits are (top-left, top-right, bottom-left, bottom-right) packed
-    little-endian: code = a + 2b + 4c + 8d.
+    little-endian: code = a + 2b + 4c + 8d.  Cells are not checked to be 0
+    or 1; see validate_grids.
     """
-    table = np.zeros(16, dtype=np.uint8)
-    for code in range(16):
-        bits = [(code >> k) & 1 for k in range(4)]
-        count = sum(bits)
-        if count != 2:
-            bits = [1 - v for v in bits]
-        if count == 3:
-            # 180 degree rotation of a 2x2 block is the full reversal.
-            bits = bits[::-1]
-        table[code] = bits[0] + 2 * bits[1] + 4 * bits[2] + 8 * bits[3]
+    g = np.asarray(grids, dtype=np.uint8)
+    if g.ndim < 2 or g.shape[-1] % 2 or g.shape[-2] % 2:
+        raise ValueError(f"grid sides must be even, got shape {g.shape}")
+    *lead, h, w = g.shape
+    # Axes (..., block row, row in block, block column, column in block).
+    q = g.reshape(*lead, h // 2, 2, w // 2, 2)
+    return q[..., 0, :, 0] + 2 * q[..., 0, :, 1] \
+        + 4 * q[..., 1, :, 0] + 8 * q[..., 1, :, 1]
+
+
+def blocks_from_codes(codes) -> np.ndarray:
+    """Inverse of block_codes: (..., h, w) codes in 0..15 to the
+    (..., 2h, 2w) uint8 grids whose aligned blocks carry them."""
+    c = np.asarray(codes, dtype=np.uint8)
+    *lead, h, w = c.shape
+    bits = np.empty((*lead, h, 2, w, 2), dtype=np.uint8)
+    bits[..., 0, :, 0] = c & 1
+    bits[..., 0, :, 1] = (c >> 1) & 1
+    bits[..., 1, :, 0] = (c >> 2) & 1
+    bits[..., 1, :, 1] = c >> 3
+    return bits.reshape(*lead, 2 * h, 2 * w)
+
+
+# Every 2x2 block, one per code: ALL_BLOCKS[c] is the block of code c.
+ALL_BLOCKS = blocks_from_codes(np.arange(16).reshape(16, 1, 1))
+
+
+def _build_block_table() -> np.ndarray:
+    """Enumerate the 16-entry block transform on ALL_BLOCKS."""
+    count = ALL_BLOCKS.sum(axis=(1, 2))[:, None, None]
+    out = np.where(count != 2, 1 - ALL_BLOCKS, ALL_BLOCKS)
+    # Count 3 flips, then rotates the block 180 degrees.
+    out = np.where(count == 3, out[:, ::-1, ::-1], out)
+    table = block_codes(out)[:, 0, 0]
     if sorted(table.tolist()) != list(range(16)):
         raise RuntimeError("block transform table is not a permutation")
     return table
@@ -115,19 +141,7 @@ def _apply_blockwise(grids: np.ndarray, table: np.ndarray) -> np.ndarray:
     Codes stay uint8 (at most 15), so the work arrays are no wider than
     the grids themselves.
     """
-    *lead, n, _ = grids.shape
-    h = n // 2
-    # Axes (..., block row, row in block, block column, column in block).
-    q = grids.reshape(*lead, h, 2, h, 2)
-    codes = q[..., 0, :, 0] + 2 * q[..., 0, :, 1] \
-        + 4 * q[..., 1, :, 0] + 8 * q[..., 1, :, 1]
-    out = table[codes]
-    bits = np.empty_like(q)
-    bits[..., 0, :, 0] = out & 1
-    bits[..., 0, :, 1] = (out >> 1) & 1
-    bits[..., 1, :, 0] = (out >> 2) & 1
-    bits[..., 1, :, 1] = out >> 3
-    return bits.reshape(grids.shape)
+    return blocks_from_codes(table[block_codes(grids)])
 
 
 def _step_with_table(grids: np.ndarray, phase: Phase, edge: EdgeMode,

@@ -186,6 +186,8 @@ def cmd_operator_check(args) -> int:
 
 
 def cmd_lower_check(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     checked = 0
@@ -282,6 +284,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     net_aligned = load_network(args.checkpoint_aligned)
     net_offset = load_network(args.checkpoint_offset)
     rng = np.random.default_rng(args.seed)
@@ -302,6 +306,9 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_commute(args) -> int:
+    if args.verify_trials < 0:
+        raise ValueError(f"--verify-trials must be >= 0 (0 skips the "
+                         f"check), got {args.verify_trials}")
     config = _train_config(args)
     evolution = exact_phase_step(Phase.ALIGNED)
     history, net = commute_experiment(evolution, args.model_seed,

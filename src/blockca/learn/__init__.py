@@ -1,7 +1,7 @@
 """Experiment harness: datasets, models, training, rollouts, commutativity."""
 
 from .data import Dataset, generate_dataset
-from .models import build_model
+from .models import block_form, build_model
 from .train import (
     TrainConfig,
     TrainHistory,
@@ -34,7 +34,7 @@ from .witness import (
 )
 
 __all__ = [
-    "Dataset", "generate_dataset", "build_model", "TrainConfig",
+    "Dataset", "generate_dataset", "block_form", "build_model", "TrainConfig",
     "TrainHistory", "EpochRecord", "EvalResult", "TrainingDiverged",
     "train", "evaluate", "evaluate_tensors", "DEFAULT_GRID_SIZE",
     "DEFAULT_TRAIN_COUNT", "DEFAULT_TEST_COUNT", "DEFAULT_DENSITY",

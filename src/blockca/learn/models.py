@@ -6,6 +6,10 @@ convolution back to cell resolution, and a 1x1 segmentation head with a
 sigmoid.  The offset-partition variants wrap this core either in torus
 shifts or in a zero-pad / crop pair, mirroring the two edge schemes of the
 exact automaton.
+
+Every such network maps each 2x2 block of its partition on its own, so its
+whole behaviour is that of its core on the 16 block codes; block_form
+splits a network into its partition geometry and that core.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ from ..nn.layers import (
     UnwrapShiftLayer,
     WrapShiftLayer,
 )
+
+# Leading geometry layer -> the trailing layer that undoes it.
+_UNDOING_LAYER = {WrapShiftLayer: UnwrapShiftLayer, Pad1Layer: Crop1Layer}
+_POINTWISE_LAYERS = (ReLULayer, SigmoidLayer, BypassLayer)
 
 HIDDEN_CHANNELS = 16
 DECODE_CHANNELS = 8
@@ -61,3 +69,51 @@ def build_model(phase: Phase, edge: EdgeMode, bypass_endpoints: bool = False,
     if edge is EdgeMode.TORUS_WRAP:
         return Network([WrapShiftLayer(), *core, UnwrapShiftLayer()])
     return Network([Pad1Layer(), *core, Crop1Layer()])
+
+
+def _is_window(layer, cls, size: int, stride: int) -> bool:
+    if not isinstance(layer, cls):
+        return False
+    k = layer.kernel
+    return k.height == k.width == size and k.stride == stride
+
+
+def block_form(net: Network):
+    """Split a build_model network into (lead, core).
+
+    `lead` is the leading WrapShiftLayer or Pad1Layer, or None, and `core`
+    a Network of the layers between it and the trailing layer that undoes
+    it.  The core is checked to be block-local: a 2x2 stride-2 conv, then
+    1x1 stride-1 convs and pointwise layers around exactly one 2x2 stride-2
+    deconv.  So the network's output on each block of lead's frame depends
+    on that block's 4-bit code alone.  Anything else raises ValueError
+    naming the offending layer.
+    """
+    layers = list(net.layers)
+    lead = layers[0] if layers and type(layers[0]) in _UNDOING_LAYER \
+        else None
+    if lead is not None:
+        undo = _UNDOING_LAYER[type(lead)]
+        if not isinstance(layers[-1], undo):
+            raise ValueError(f"layer {len(layers) - 1} ({layers[-1].kind}) "
+                             f"does not undo the leading {lead.kind}; "
+                             f"expected {undo.kind}")
+        layers = layers[1:-1]
+    offset = 1 if lead is not None else 0
+    if not layers or not _is_window(layers[0], ConvLayer, 2, 2):
+        kind = layers[0].kind if layers else "none"
+        raise ValueError(f"layer {offset} ({kind}) must be a 2x2 stride-2 "
+                         f"conv")
+    decoded = False
+    for i, layer in enumerate(layers[1:], offset + 1):
+        if not decoded and _is_window(layer, DeconvLayer, 2, 2):
+            decoded = True
+        elif not (_is_window(layer, ConvLayer, 1, 1)
+                  or isinstance(layer, _POINTWISE_LAYERS)):
+            raise ValueError(f"layer {i} ({layer.kind}) is not block-local: "
+                             f"expected a 1x1 stride-1 conv, a pointwise "
+                             f"layer or one 2x2 stride-2 deconv")
+    if not decoded:
+        raise ValueError("no 2x2 stride-2 deconv returns the blocks to "
+                         "cell resolution")
+    return lead, Network(layers)

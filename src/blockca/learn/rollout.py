@@ -22,10 +22,13 @@ def predict_grids(model, grids: np.ndarray) -> np.ndarray:
     network output raises TrainingDiverged instead of being scored.
     """
     if isinstance(model, Network):
-        out = model.predict(grids[:, None, :, :].astype(np.float64))[:, 0]
+        out = model.predict(grids[:, None, :, :].astype(np.float64))
+        if out.shape != (grids.shape[0], 1, *grids.shape[1:]):
+            raise ValueError(f"network maps grids {grids.shape} to "
+                             f"{out.shape}, not one channel of the same grids")
         if not np.isfinite(out).all():
             raise TrainingDiverged("non-finite prediction")
-        return out
+        return out[:, 0]
     out = validate_grids(model(grids))
     if out.shape != grids.shape:
         raise ValueError(f"grid map returned shape {out.shape} "

@@ -1,4 +1,11 @@
-"""Mini-batch training loop with per-epoch held-out metrics."""
+"""Mini-batch training loop with per-epoch held-out metrics.
+
+Training runs in block-code space.  A build_model network maps every block
+of its partition on its own, so the loss of a minibatch is a sum over the
+16 block codes, weighted by how often each (code, cell, target bit) occurs.
+Each step runs the network's core once on the 16 codes instead of on the
+whole batch; dense backprop (Network.backward) stays as the reference.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..ca import ALL_BLOCKS, block_codes
 from ..nn.layers import Network
-from ..nn.loss import bce_loss
+from ..nn.loss import bce_loss, counted_bce_loss
 from ..nn.optim import NetworkOptimizer, OptimizerConfig
 from .data import Dataset
+from .models import block_form
 from .rollout import TrainingDiverged, predict_grids
 
 DEFAULT_GRID_SIZE = 16
@@ -113,6 +122,57 @@ def evaluate(model, dataset: Dataset) -> EvalResult:
     return evaluate_tensors(model, dataset.inputs, dataset.targets)
 
 
+# The 16 blocks as one (16, 1, 2, 2) batch, block c carrying code c.
+_CODE_BATCH = ALL_BLOCKS[:, None].astype(np.float64)
+# _SCORES[(t, m), (k, b)] is 1 where a block whose target cells pack to
+# code t and whose scored-cell mask packs to code m scores its cell k
+# (2 * row in block + column in block) with target bit b.
+_CELL_BITS = ALL_BLOCKS.reshape(16, 4)
+_SCORES = (_CELL_BITS[None, :, :, None]
+           * (_CELL_BITS[:, None, :, None] == np.arange(2))
+           ).reshape(256, 8).astype(np.float64)
+
+
+def code_histogram(lead, inputs, targets) -> np.ndarray:
+    """(16, 4, 2) counts of (block code, cell in block, target bit).
+
+    `inputs` and `targets` are (N, n, n) binary grid stacks, taken into the
+    core's frame by the network's leading geometry layer `lead` (or left as
+    they are for None).  A ones mask goes along, so cells that the trailing
+    crop discards are not counted.  Counts are exact float64 integers.
+    """
+    frame = np.stack([inputs, targets, np.ones_like(inputs)], axis=1,
+                     dtype=np.uint8)
+    if frame.max() > 1:
+        raise ValueError("training grids must be binary")
+    if lead is not None:
+        frame, _ = lead.forward(frame)
+    codes = block_codes(frame).astype(np.uint16)
+    # One key per block: its input, target and mask codes.
+    keys = codes[:, 0] << 8 | codes[:, 1] << 4 | codes[:, 2]
+    blocks = np.bincount(keys.ravel(), minlength=16 ** 3).reshape(16, 256)
+    return (blocks @ _SCORES).reshape(16, 4, 2)
+
+
+def block_backward(lead, core: Network, inputs, targets) -> float:
+    """BCE of a network in block form (see models.block_form) on (N, n, n)
+    input and target grids, backpropagated through its core.
+
+    The loss equals bce_loss of the dense forward pass, and the core's
+    layers are left holding the parameter gradients that Network.backward
+    of that loss would leave in them.
+    """
+    hist = code_histogram(lead, inputs, targets)
+    probs, caches = core.forward(_CODE_BATCH)
+    if probs.shape != _CODE_BATCH.shape:
+        raise ValueError(f"core maps the 16 blocks to shape {probs.shape}, "
+                         f"not {_CODE_BATCH.shape}")
+    loss, grad = counted_bce_loss(probs.reshape(16, 4), hist[..., 1],
+                                  hist[..., 0], np.size(inputs))
+    core.backward(grad.reshape(_CODE_BATCH.shape), caches)
+    return loss
+
+
 def split_holdout(count: int, holdout_fraction: float) -> int:
     """Number of trailing samples reserved for evaluation."""
     if not 0.0 < holdout_fraction < 1.0:
@@ -128,11 +188,16 @@ def fit(net: Network, pairs, n_train: int, n_test: int, config: TrainConfig,
         rng: np.random.Generator) -> TrainHistory:
     """Minibatch BCE training of `net` in place; returns per-epoch history.
 
-    `pairs(indices)` returns the (inputs, targets) (count, n, n) grid stacks
-    of those sample indices.  Indices below `n_train` are trained on, in an
-    order `rng` shuffles each epoch; the next `n_test` are held out and
-    scored by evaluate_tensors after each epoch's last optimizer step.
+    `net` must split by models.block_form, else ValueError is raised before
+    any step; each minibatch takes one forward and backward pass of its
+    core on the 16 block codes (see block_backward) and one optimizer step.
+    `pairs(indices)` returns the (inputs, targets) (count, n, n) binary
+    grid stacks of those sample indices.  Indices below `n_train` are
+    trained on, in an order `rng` shuffles each epoch; the next `n_test`
+    are held out and scored by evaluate_tensors after each epoch's last
+    optimizer step.
     """
+    lead, core = block_form(net)
     history = TrainHistory()
     optimizer = NetworkOptimizer(config.optimizer, net)
     held_out = np.arange(n_train, n_train + n_test)
@@ -141,12 +206,9 @@ def fit(net: Network, pairs, n_train: int, n_test: int, config: TrainConfig,
         loss_sum = 0.0
         for lo in range(0, n_train, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            x, t = pairs(idx)
-            pred, caches = net.forward(x[:, None].astype(np.float64))
-            loss, dpred = bce_loss(pred, t[:, None].astype(np.float64))
+            loss = block_backward(lead, core, *pairs(idx))
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            net.backward(dpred, caches)
             optimizer.step()
             loss_sum += loss * idx.size
         # A module-global call: bench/workloads.py's Gate replaces

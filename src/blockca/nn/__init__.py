@@ -14,7 +14,7 @@ from .layers import (
     conv_forward,
     deconv_forward,
 )
-from .loss import bce_loss
+from .loss import bce_loss, counted_bce_loss
 from .optim import OptimizerConfig, NetworkOptimizer, optimizer_step, init_optimizer_state
 from .gradcheck import (MarginNotFound, grad_check, network_loss, relu_margin,
                         draw_input_with_margin)
@@ -24,6 +24,7 @@ __all__ = [
     "ConvLayer", "DeconvLayer", "ReLULayer", "SigmoidLayer", "BypassLayer",
     "Pad1Layer", "Crop1Layer", "WrapShiftLayer", "UnwrapShiftLayer",
     "Network", "conv_forward", "deconv_forward", "bce_loss",
+    "counted_bce_loss",
     "OptimizerConfig", "NetworkOptimizer", "optimizer_step",
     "init_optimizer_state", "grad_check", "network_loss",
     "relu_margin", "draw_input_with_margin", "MarginNotFound", "save_network",

@@ -81,8 +81,28 @@ def _read_layer(f, size: int):
     return layer
 
 
+def _check_chain(layers) -> None:
+    """Each conv/deconv must consume the channels the previous one emits;
+    the stateless layers between them keep the channel count."""
+    width = None
+    for i, layer in enumerate(layers):
+        if not isinstance(layer, (ConvLayer, DeconvLayer)):
+            continue
+        k = layer.kernel
+        # A deconv stores the kernel of the conv it is the adjoint of.
+        takes, gives = (k.in_channels, k.out_channels) \
+            if isinstance(layer, ConvLayer) \
+            else (k.out_channels, k.in_channels)
+        if width is not None and takes != width:
+            raise CheckpointFormatError(
+                f"layer {i} ({layer.kind}) takes {takes} channels, but the "
+                f"layers before it emit {width}")
+        width = gives
+
+
 def load_network(path) -> Network:
-    """Read a save_network file; other bytes raise CheckpointFormatError."""
+    """Read a save_network file; other bytes, and layers whose channel
+    counts do not chain, raise CheckpointFormatError."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if f.readline() != MAGIC:
@@ -96,4 +116,5 @@ def load_network(path) -> Network:
         layers = [_read_layer(f, size) for _ in range(int(head[1]))]
         if f.read(1):
             raise CheckpointFormatError("bytes after the last declared layer")
+    _check_chain(layers)
     return Network(layers)

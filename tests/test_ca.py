@@ -96,6 +96,32 @@ class TestBlockTransform:
         assert [bits_to_code(tuple(b)) for b in out] == table.tolist()
 
 
+class TestBlockCodes:
+    def test_every_code_round_trips_through_its_block(self):
+        codes = np.arange(16, dtype=np.uint8).reshape(16, 1, 1)
+        blocks = ca.blocks_from_codes(codes)
+        assert blocks.shape == (16, 2, 2) and blocks.dtype == np.uint8
+        for code in range(16):
+            a, b, c, d = code_to_bits(code)
+            assert blocks[code].tolist() == [[a, b], [c, d]]
+        assert np.array_equal(ca.block_codes(blocks), codes)
+        assert np.array_equal(ca.ALL_BLOCKS, blocks)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_stack_round_trips(self, n):
+        grids = ca.random_grids(6, n, 0.5, n).reshape(2, 3, n, n)
+        codes = ca.block_codes(grids)
+        assert codes.shape == (2, 3, n // 2, n // 2)
+        assert codes.dtype == np.uint8 and codes.max() <= 15
+        assert np.array_equal(ca.blocks_from_codes(codes), grids)
+        assert codes[1, 2, 0, 0] == bits_to_code(
+            grids[1, 2, :2, :2].ravel().tolist())
+
+    def test_odd_sides_rejected(self):
+        with pytest.raises(ValueError):
+            ca.block_codes(np.zeros((2, 3), dtype=np.uint8))
+
+
 class TestStep:
     def test_all_dead_flips_to_all_live(self):
         dead = np.zeros((4, 4), dtype=np.uint8)
@@ -296,6 +322,21 @@ class TestRandomGrid:
                               .reshape(count, 6, 6))
 
 
+@st.composite
+def near_grid_text(draw):
+    """Grid text whose header and rows are often, not always, well formed,
+    so fuzzing reaches the row checks and the valid path."""
+    n = draw(st.sampled_from([2, 4, 0, 1, 3]))
+    good = st.text(alphabet="01", min_size=n, max_size=n)
+    row = st.one_of(good, good, good, st.text(alphabet="012 \t", max_size=5))
+    count = draw(st.sampled_from([n, n, n, max(n - 1, 0), n + 1]))
+    rows = draw(st.lists(row, min_size=count, max_size=count))
+    head = draw(st.sampled_from([str(n), str(n), f" {n} ", f"+{n}", "-2",
+                                 "x", ""]))
+    tail = draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]))
+    return "\n".join([head, *rows]) + tail
+
+
 class TestGridText:
     def test_round_trip(self):
         g = ca.random_grid(6, 0.5, 4)
@@ -320,6 +361,27 @@ class TestGridText:
     def test_bad_text_raises_format_error(self, text):
         with pytest.raises(GridFormatError):
             ca.parse_grid(text)
+
+    @given(st.one_of(st.text(), near_grid_text()))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_is_rejected_or_round_trips(self, text):
+        try:
+            grid = ca.parse_grid(text)
+        except GridFormatError:
+            return
+        assert np.array_equal(ca.parse_grid(ca.format_grid(grid)), grid)
+
+    @given(st.one_of(st.text(), st.lists(near_grid_text(), max_size=3)
+                     .map("\n\n".join)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_trajectory_text_is_rejected_or_round_trips(self, text):
+        try:
+            grids = ca.parse_trajectory(text)
+        except GridFormatError:
+            return
+        again = ca.parse_trajectory(ca.format_trajectory(grids))
+        assert len(again) == len(grids)
+        assert all(np.array_equal(a, b) for a, b in zip(again, grids))
 
     def test_file_round_trip(self, tmp_path):
         g = ca.random_grid(4, 0.5, 5)

@@ -10,6 +10,7 @@ from blockca.learn import build_model
 from blockca.nn import (
     CheckpointFormatError,
     ConvLayer,
+    DeconvLayer,
     Network,
     SigmoidLayer,
     load_network,
@@ -115,6 +116,10 @@ class TestLowerCheck:
         assert run("lower-check", "--trials", "0", "--seed", "3") == 0
         # the fixed identity-kernel case still runs
         assert "1/1 passed" in capsys.readouterr().out
+
+    def test_negative_trials_exit_3(self, capsys):
+        assert run("lower-check", "--trials", "-3") == 3
+        assert "passed" not in capsys.readouterr().out
 
 
 class TestGenData:
@@ -247,6 +252,44 @@ class TestTrainEvalRollout:
         assert "steps=4" in text and "trials=10" in text
         assert "mean_divergence_step=" in text
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_rollout_of_no_grids_exits_3(self, trained, capsys, count):
+        _, _, ckpt_a, ckpt_o = trained
+        assert main(["rollout", "--checkpoint-aligned", str(ckpt_a),
+                     "--checkpoint-offset", str(ckpt_o), "--n", "8",
+                     "--count", str(count)]) == 3
+        captured = capsys.readouterr()
+        assert "trials=" not in captured.out
+        assert captured.err.startswith("error: --count")
+
+    def test_unchained_checkpoint_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        ckpt = tmp_path / "unchained.ckpt"
+        save_network(Network([ConvLayer.create(rng, 1, 2, 2, 2),
+                              ConvLayer.create(rng, 3, 1, 1, 1),
+                              SigmoidLayer()]), ckpt)
+        with pytest.raises(CheckpointFormatError, match="layer 1"):
+            load_network(ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--n", "8",
+                     "--count", "10", "--seed", "1"]) == 2
+        assert "takes 3 channels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("decode", [False, True])
+    def test_chained_checkpoint_of_the_wrong_shape_loads_and_exits_3(
+            self, tmp_path, capsys, decode):
+        # The layers chain, but the output is two half-size channels, or
+        # three full-size ones, not the one channel of a grid.
+        rng = np.random.default_rng(3)
+        layers = [ConvLayer.create(rng, 1, 2, 2, 2)]
+        if decode:
+            layers.append(DeconvLayer.create(rng, 2, 3, 2, 2))
+        ckpt = tmp_path / "shape.ckpt"
+        save_network(Network([*layers, SigmoidLayer()]), ckpt)
+        assert len(load_network(ckpt).layers) == len(layers) + 1
+        assert main(["eval", "--checkpoint", str(ckpt), "--n", "8",
+                     "--count", "10", "--seed", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error: network maps")
+
     def test_train_reruns_byte_identical(self, trained, tmp_path):
         _, csv_a, _, _ = trained
         again = tmp_path / "again.csv"
@@ -271,6 +314,12 @@ class TestCommuteAndGradcheck:
         assert "evolution-itself: 20/20 commutes" in out
         assert "non-uniqueness certified: yes" in out
         assert len(csv.read_text().strip().splitlines()) == 3
+
+    def test_negative_verify_trials_exit_3_before_training(self, tmp_path):
+        csv = tmp_path / "commute.csv"
+        assert main(["commute", "--n", "8", "--count", "200", "--epochs", "1",
+                     "--verify-trials", "-4", "--out-csv", str(csv)]) == 3
+        assert not csv.exists()
 
     def test_gradcheck_passes_on_default_model(self, capsys):
         assert run("gradcheck", "--n", "4", "--seed", "5") == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blockca.ca import EdgeMode, Phase, step
+from blockca.ca import EdgeMode, Phase, random_grids, step
 from blockca.linops import KernelSpec
 from blockca.nn import (
     BypassLayer,
@@ -16,7 +16,8 @@ from blockca.nn import (
     grad_check,
     relu_margin,
 )
-from blockca.learn import build_model
+from blockca.learn import block_form, build_model
+from blockca.learn.train import block_backward, code_histogram
 
 # Overlapping (stride < kernel) and gapped (stride > kernel) windows.
 WINDOWS = [(2, 1), (3, 1), (3, 2), (1, 2), (2, 3)]
@@ -120,3 +121,31 @@ def test_loss_gradient_through_full_stack_matches_fd_loss_curve():
         param -= 1e-3 * grad()
     after, _ = bce_loss(net.predict(x), t)
     assert after < before
+
+
+@pytest.mark.parametrize("phase,edge", [
+    (Phase.ALIGNED, EdgeMode.TORUS_WRAP),
+    (Phase.OFFSET, EdgeMode.TORUS_WRAP),
+    (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP),
+])
+@pytest.mark.parametrize("bypass", [False, True])
+@pytest.mark.parametrize("n", [4, 16])
+def test_code_space_loss_and_gradients_equal_dense_backprop(phase, edge,
+                                                            bypass, n):
+    net = build_model(phase, edge, bypass_endpoints=bypass, seed=23)
+    lead, core = block_form(net)
+    rng = np.random.default_rng(n)
+    # A full batch of 32, a partial batch and a single grid, with targets
+    # from the rule and drawn at random.
+    for batch in (32, 7, 1):
+        x = random_grids(batch, n, 0.5, rng)
+        for t in (step(x, phase, edge), random_grids(batch, n, 0.5, rng)):
+            pred, caches = net.forward(x[:, None].astype(np.float64))
+            want, dpred = bce_loss(pred, t[:, None].astype(np.float64))
+            net.backward(dpred, caches)
+            dense = [grad().copy() for _, grad in net.parameters()]
+            assert code_histogram(lead, x, t).sum() == x.size
+            loss = block_backward(lead, core, x, t)
+            assert abs(loss - want) <= 1e-12 * want
+            for d, (_, grad) in zip(dense, net.parameters()):
+                assert np.abs(grad() - d).max() <= 1e-12 * np.abs(d).max()

@@ -1,5 +1,7 @@
 """Datasets, model construction, training loop, rollout, commutativity."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from blockca.learn import (
     TrainConfig,
     TrainHistory,
     apply_model_binary,
+    block_form,
     build_model,
     commute_experiment,
     commute_loss,
@@ -21,8 +24,11 @@ from blockca.learn import (
     verify_commuting_solutions,
 )
 from blockca.learn.data import verify_dataset
-from blockca.nn import ReLULayer, WrapShiftLayer, UnwrapShiftLayer
-from blockca.nn.optim import OptimizerConfig
+from blockca.learn.train import fit
+from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
+                        ReLULayer, SigmoidLayer, WrapShiftLayer,
+                        UnwrapShiftLayer)
+from blockca.nn.optim import NetworkOptimizer, OptimizerConfig
 
 SMALL = TrainConfig(epochs=2, batch_size=8, seed=0,
                     optimizer=OptimizerConfig(learning_rate=1e-3))
@@ -95,6 +101,72 @@ class TestBuildModel:
         b = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=5)
         for la, lb in zip(a.param_layers(), b.param_layers()):
             assert np.array_equal(la.kernel.weights, lb.kernel.weights)
+
+
+def block_core(rng, middle=()):
+    """encode 1->4, *middle, decode 4->2, head 2->1, sigmoid."""
+    return [ConvLayer.create(rng, 1, 4, 2, 2), ReLULayer(), *middle,
+            DeconvLayer.create(rng, 4, 2, 2, 2), ReLULayer(),
+            ConvLayer.create(rng, 2, 1, 1, 1), SigmoidLayer()]
+
+
+class TestBlockForm:
+    @pytest.mark.parametrize("phase,edge,lead", [
+        (Phase.ALIGNED, EdgeMode.TORUS_WRAP, type(None)),
+        (Phase.OFFSET, EdgeMode.TORUS_WRAP, WrapShiftLayer),
+        (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP, Pad1Layer),
+    ])
+    @pytest.mark.parametrize("bypass", [False, True])
+    def test_every_built_model_splits(self, phase, edge, lead, bypass):
+        net = build_model(phase, edge, bypass_endpoints=bypass, seed=1)
+        first, core = block_form(net)
+        assert isinstance(first, lead)
+        inner = net.layers if first is None else net.layers[1:-1]
+        assert all(a is b for a, b in zip(core.layers, inner))
+        assert len(core.layers) == len(inner)
+
+    @pytest.mark.parametrize("layers,named", [
+        # A 3x3 head sees neighbouring blocks.
+        (lambda rng: block_core(rng)[:-2] + [
+            ConvLayer.create(rng, 2, 1, 3, 1), SigmoidLayer()],
+         "layer 4 (conv)"),
+        (lambda rng: [ConvLayer.create(rng, 1, 4, 1, 1)]
+         + block_core(rng)[1:], "layer 0 (conv)"),
+        (lambda rng: [WrapShiftLayer(), *block_core(rng)], "layer 6 (sigmoid)"),
+        (lambda rng: [Pad1Layer(), *block_core(rng), UnwrapShiftLayer()],
+         "layer 7 (unwrapshift)"),
+        (lambda rng: [*block_core(rng), Crop1Layer()], "layer 6 (crop1)"),
+        (lambda rng: block_core(rng, [DeconvLayer.create(rng, 4, 4, 2, 2)]),
+         "layer 3 (deconv)"),
+        (lambda rng: block_core(rng)[:2], "no 2x2 stride-2 deconv"),
+        (lambda rng: [], "layer 0 (none)"),
+    ])
+    def test_non_block_networks_are_rejected_by_name(self, layers, named):
+        net = Network(layers(np.random.default_rng(0)))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            block_form(net)
+
+    @pytest.mark.parametrize("layers", [
+        lambda rng: block_core(rng)[:-2] + [ConvLayer.create(rng, 2, 1, 3, 1),
+                                             SigmoidLayer()],
+        lambda rng: [WrapShiftLayer(), *block_core(rng)],
+    ])
+    def test_fit_rejects_them_before_any_optimizer_step(self, monkeypatch,
+                                                        layers):
+        steps = []
+        monkeypatch.setattr(NetworkOptimizer, "step",
+                            lambda self: steps.append(1))
+        net = Network(layers(np.random.default_rng(0)))
+        before = [p.copy() for p, _ in net.parameters()]
+        ds = small_dataset()
+
+        def pairs(indices):
+            return ds.inputs[indices], ds.targets[indices]
+        with pytest.raises(ValueError, match="layer"):
+            fit(net, pairs, 30, 10, SMALL, np.random.default_rng(0))
+        assert steps == []
+        assert all(np.array_equal(a, p)
+                   for a, (p, _) in zip(before, net.parameters()))
 
 
 class TestTrain:

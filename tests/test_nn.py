@@ -26,6 +26,7 @@ from blockca.nn import (
     WrapShiftLayer,
     bce_loss,
     conv_forward,
+    counted_bce_loss,
     deconv_forward,
     init_optimizer_state,
     load_network,
@@ -191,6 +192,21 @@ class TestBceLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             bce_loss(np.zeros(3), np.zeros(4))
+
+    def test_counted_loss_is_bce_of_the_expanded_cells(self):
+        rng = np.random.default_rng(11)
+        p = np.array([0.2, 0.7, 1.0, 0.0])
+        ones, zeros = np.array([3, 0, 2, 1]), np.array([1, 4, 0, 2])
+        cells = np.repeat(np.concatenate([p, p]),
+                          np.concatenate([ones, zeros]))
+        t = np.repeat([1.0, 0.0], [ones.sum(), zeros.sum()])
+        order = rng.permutation(t.size)
+        want, dcells = bce_loss(cells[order], t[order])
+        loss, grad = counted_bce_loss(p, ones, zeros, t.size)
+        assert loss == pytest.approx(want, rel=1e-14)
+        owner = np.repeat(np.tile(np.arange(4), 2),
+                          np.concatenate([ones, zeros]))[order]
+        assert np.allclose(grad, np.bincount(owner, dcells), rtol=1e-14)
 
 
 class TestOptimizers:

@@ -79,9 +79,12 @@ def _parse_random_spec(spec: str):
     if len(parts) != 3:
         raise GridFormatError(f"--random expects n,density,seed, got {spec!r}")
     try:
-        return int(parts[0]), float(parts[1]), int(parts[2])
+        n, density, seed = int(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise GridFormatError(f"bad --random spec {spec!r}") from None
+    if not np.isfinite(density):
+        raise GridFormatError(f"--random density must be finite, got {spec!r}")
+    return n, density, seed
 
 
 def _load_start_grid(args) -> np.ndarray:

@@ -80,18 +80,6 @@ class TrainHistory:
                          f"{r.cell_accuracy:.9g},{r.exact_grid_rate:.9g}")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_csv(text: str) -> "TrainHistory":
-        lines = text.strip().splitlines()
-        if not lines or lines[0] != HISTORY_CSV_HEADER:
-            raise ValueError("bad history CSV header")
-        records = []
-        for line in lines[1:]:
-            e, tr, te, acc, ex = line.split(",")
-            records.append(EpochRecord(int(e), float(tr), float(te),
-                                       float(acc), float(ex)))
-        return TrainHistory(records)
-
 
 def evaluate_tensors(model, grids: np.ndarray, targets: np.ndarray,
                      chunk: int = 1024) -> EvalResult:

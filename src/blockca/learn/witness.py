@@ -1,81 +1,67 @@
 """Reading a trained network as linear maps interleaved with ReLU.
 
-Every layer of the rule-learning stacks is either affine (convolutions,
-transposed convolutions, torus shifts, pad/crop) or a ReLU, so the whole
-network lowers to a list of (matrix, bias) stages with ReLU markers in
-between.  The final sigmoid is monotone and is replaced by thresholding the
-logits at zero; geometry layers that sit after the sigmoid act on logits
-instead, which commutes with the elementwise sigmoid.
+Every rule-learning network maps each 2x2 block of its partition on its own
+(see models.block_form), so on an n x n grid it is P^T (I_blocks (x) f) P:
+P is the network's leading geometry layer (or the identity) followed by
+cutting the frame into blocks, and f is its core on one 2x2 block.  The
+core's layers are convolutions, transposed convolutions and ReLUs, so f
+lowers to a short list of (matrix, bias) stages with ReLU markers in
+between, 4 -> 16 -> 32 -> 4 whatever n is.  The final sigmoid is monotone
+and is replaced by thresholding the logits at zero; the trailing crop or
+unshift then acts on logits, which commutes with the elementwise sigmoid.
 
 Chaining two lowered half-step networks needs binary intermediate values.
 A clamp built from two extra affine+ReLU stages (u = relu(a*z), then
 u - relu(u - 1)) recovers exact bits whenever the first network's logits
 keep a positive margin, so the two-half-step evolution is exhibited as one
-finite composition of linear maps and ReLU.
+finite composition of linear maps and ReLU.  The clamp acts per cell and
+maps 0 to 0, so it commutes with the offset network's torus shift and
+zero padding and runs blockwise in front of that network's core.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..ca import validate_grid, validate_grids
+from ..ca import validate_grids
 from ..linops import conv_to_matrix, deconv_to_matrix
 from ..nn.layers import (
-    BypassLayer,
     ConvLayer,
-    Crop1Layer,
     DeconvLayer,
     Network,
-    Pad1Layer,
     ReLULayer,
     SigmoidLayer,
-    UnwrapShiftLayer,
-    WrapShiftLayer,
 )
+from .models import block_form
 
 
-def _probe_matrix(layer, shape) -> np.ndarray:
-    """Matrix of a parameter-free linear layer on (c, h, w) inputs: column
-    j is the layer's output on the j-th standard basis tensor."""
-    size = int(np.prod(shape))
-    images = layer.forward(np.eye(size).reshape(size, *shape))[0]
-    return np.ascontiguousarray(images.reshape(size, -1).T)
+def lower_network(net: Network) -> list[tuple]:
+    """Lower the core of a network in block form (see models.block_form)
+    to [('affine', M, b) | ('relu',)] stages.
 
-
-def lower_network(net: Network, input_shape) -> list[tuple]:
-    """Lower a stack to [('affine', M, b) | ('relu',)] stages on logits.
-
-    The network must end in a sigmoid optionally followed by geometry
-    layers; the sigmoid itself is dropped (callers threshold logits at 0).
-    Convolutions lower through linops; geometry layers are probed.
+    The stages map the 4 cells of a block to its 4 logits; their shapes do
+    not depend on the grid size.  The core must end in a sigmoid, which is
+    dropped (callers threshold logits at 0).
     """
+    _, core = block_form(net)
     stages = []
-    shape = tuple(input_shape)
+    shape = (1, 2, 2)  # one block; stages index its cells TL, TR, BL, BR
     saw_sigmoid = False
-    for layer in net.layers:
+    for layer in core.layers:
         if isinstance(layer, SigmoidLayer):
             if saw_sigmoid:
                 raise ValueError("more than one sigmoid in the stack")
             saw_sigmoid = True
             continue
-        geometry = isinstance(layer, (WrapShiftLayer, UnwrapShiftLayer,
-                                      Pad1Layer, Crop1Layer))
-        if saw_sigmoid and isinstance(layer, Pad1Layer):
-            raise ValueError("zero padding after the sigmoid does not "
-                             "commute with thresholding")
-        if saw_sigmoid and not geometry:
+        if saw_sigmoid:
             raise ValueError(f"cannot lower {layer.kind} after the sigmoid")
-        if geometry:
-            mat = _probe_matrix(layer, shape)
-            stages.append(("affine", mat, np.zeros(mat.shape[0])))
-        elif isinstance(layer, ConvLayer):
+        if isinstance(layer, ConvLayer):
             stages.append(("affine", *conv_to_matrix(layer.kernel, shape)))
         elif isinstance(layer, DeconvLayer):
             stages.append(("affine", *deconv_to_matrix(layer.kernel, shape)))
         elif isinstance(layer, ReLULayer):
             stages.append(("relu",))
-        elif not isinstance(layer, BypassLayer):
-            raise ValueError(f"cannot lower layer kind {layer.kind!r}")
+        # block_form admits no other kind but BypassLayer, the identity.
         shape = layer.forward(np.zeros((1, *shape)))[0].shape[1:]
     if not saw_sigmoid:
         raise ValueError("expected a sigmoid output head")
@@ -110,17 +96,33 @@ def binarize_stages(dim: int, alpha: float) -> list[tuple]:
     ]
 
 
-def _flatten_grids(grids) -> np.ndarray:
-    arr = validate_grids(grids)
-    return arr.reshape(arr.shape[0], -1).astype(np.float64)
+def _blockwise_logits(net: Network, stages, x: np.ndarray) -> np.ndarray:
+    """Apply per-block stages to every block of `net`'s partition of a
+    (..., n, n) float stack: P, then the stages on (blocks, 4) rows, then
+    P^T, where P is the network's leading geometry layer."""
+    lead, _ = block_form(net)
+    shape = x.shape
+    x = x.reshape(-1, 1, *shape[-2:])
+    if lead is not None:
+        x = lead.forward(x)[0]
+    count, m = x.shape[0], x.shape[-1]
+    h = m // 2
+    # Axes (grid, block row, block column, row in block, column in block).
+    blocks = x.reshape(count, h, 2, h, 2).transpose(0, 1, 3, 2, 4)
+    z = witness_logits(stages, blocks.reshape(-1, 4))
+    z = z.reshape(count, h, h, 2, 2).transpose(0, 1, 3, 2, 4)
+    z = z.reshape(count, 1, m, m)
+    if lead is not None:
+        z = net.layers[-1].forward(z)[0]
+    return z.reshape(shape)
 
 
 def single_step_witness(net: Network, grids) -> np.ndarray:
-    """Predict grids through the lowered stages; logits thresholded at 0."""
-    n = validate_grid(grids[0]).shape[0]
-    stages = lower_network(net, (1, n, n))
-    z = witness_logits(stages, _flatten_grids(grids))
-    return (z >= 0.0).astype(np.uint8).reshape(len(grids), n, n)
+    """Predict a (..., n, n) stack of grids through the lowered stages,
+    blockwise; logits thresholded at 0."""
+    x = validate_grids(grids).astype(np.float64)
+    z = _blockwise_logits(net, lower_network(net), x)
+    return (z >= 0.0).astype(np.uint8)
 
 
 def two_step_witness(net_aligned: Network, net_offset: Network,
@@ -128,16 +130,16 @@ def two_step_witness(net_aligned: Network, net_offset: Network,
     """Chain both lowered half-step networks into one linear+ReLU stack.
 
     The clamp scale is set from the aligned logits' margin on these grids;
-    returns (predicted grids, margin).  Raises if any aligned logit is
-    exactly zero, since then no clamp scale can binarize it.
+    returns (predicted grids, margin).  Raises if the stack is empty or any
+    aligned logit is exactly zero, since then no clamp scale can binarize.
     """
-    n = validate_grid(grids[0]).shape[0]
-    stages_a = lower_network(net_aligned, (1, n, n))
-    stages_o = lower_network(net_offset, (1, n, n))
-    z1 = witness_logits(stages_a, _flatten_grids(grids))
+    x = validate_grids(grids).astype(np.float64)
+    if x.size == 0:
+        raise ValueError("no margin exists on an empty set of grids")
+    z1 = _blockwise_logits(net_aligned, lower_network(net_aligned), x)
     margin = float(np.abs(z1).min())
     if margin == 0.0:
         raise ValueError("aligned logits touch zero; no clamp scale exists")
-    chain = binarize_stages(n * n, 2.0 / margin) + stages_o
-    z2 = witness_logits(chain, z1)
-    return (z2 >= 0.0).astype(np.uint8).reshape(len(grids), n, n), margin
+    chain = binarize_stages(4, 2.0 / margin) + lower_network(net_offset)
+    z2 = _blockwise_logits(net_offset, chain, z1)
+    return (z2 >= 0.0).astype(np.uint8), margin

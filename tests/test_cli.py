@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockca import ca
-from blockca.ca import EdgeMode, Phase
-from blockca.cli import main
+from blockca.ca import EdgeMode, GridFormatError, Phase
+from blockca.cli import _parse_random_spec, main
 from blockca.learn import build_model
 from blockca.nn import (
     CheckpointFormatError,
@@ -20,6 +22,32 @@ from blockca.nn import (
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# --random specs that are often, not always, well formed: integer and float
+# fields (non-finite ones included) with stray text and separators.
+_SPEC_FIELD = st.text(alphabet="0123456789-+.,e nainf_x", max_size=4)
+near_random_spec = st.builds(
+    lambda n, density, seed, sep: sep.join([n, density, seed]),
+    st.one_of(st.integers(-4, 10**6).map(str), _SPEC_FIELD),
+    st.one_of(st.floats().map(repr), st.sampled_from(
+        ["nan", "-inf", "1e999", " .5", "0.5 ", "1_0.5"]), _SPEC_FIELD),
+    st.one_of(st.integers(-4, 2**70).map(str), _SPEC_FIELD),
+    st.sampled_from([",", ",", ",,", ";", ", "]))
+
+
+class TestRandomSpec:
+    """Parsed directly: a fuzzed n never reaches grid construction."""
+
+    @given(st.one_of(st.text(), near_random_spec))
+    @settings(max_examples=300, deadline=None)
+    def test_any_spec_is_rejected_or_round_trips(self, spec):
+        try:
+            n, density, seed = _parse_random_spec(spec)
+        except GridFormatError:
+            return
+        assert _parse_random_spec(f"{n},{density!r},{seed}") == \
+            (n, density, seed)
 
 
 class TestSimulate:
@@ -66,6 +94,9 @@ class TestSimulate:
 
     def test_parse_errors_exit_2(self, tmp_path):
         assert run("simulate", "--random", "garbage", "--steps", "1") == 2
+        for density in ("nan", "inf", "-inf", "1e999"):
+            assert run("simulate", "--random", f"16,{density},1",
+                       "--steps", "1") == 2
         assert run("simulate", "--grid", tmp_path / "missing.txt",
                    "--steps", "1") == 2
         bad = tmp_path / "bad.txt"
@@ -74,6 +105,8 @@ class TestSimulate:
 
     def test_invalid_configs_exit_3(self):
         assert run("simulate", "--random", "5,0.5,1", "--steps", "1") == 3
+        assert run("simulate", "--random", "3,0.5,1", "--steps", "1") == 3
+        assert run("simulate", "--random", "16,2,1", "--steps", "1") == 3
         assert run("simulate", "--random", "4,0.5,1", "--steps", "2",
                    "--edge", "pad", "--direction", "bwd") == 3
         assert run("simulate", "--random", "4,0.5,1", "--steps", "-1") == 3

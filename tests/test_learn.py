@@ -9,7 +9,6 @@ from blockca.ca import (Direction, EdgeMode, Phase, evolve, random_grid,
                         random_grids, step)
 from blockca.learn import (
     TrainConfig,
-    TrainHistory,
     apply_model_binary,
     block_form,
     build_model,
@@ -205,15 +204,6 @@ class TestTrain:
             train(net, small_dataset(count=5), SMALL, 0.2)
         with pytest.raises(ValueError):
             train(net, small_dataset(), SMALL, 0.0)
-
-    def test_csv_round_trip_is_stable_at_nine_significant_digits(self):
-        history, _ = train(build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
-                                       seed=2), small_dataset(), SMALL, 0.25)
-        text = history.to_csv()
-        parsed = TrainHistory.from_csv(text)
-        assert parsed.to_csv() == text
-        assert [r.epoch for r in parsed.records] == \
-            [r.epoch for r in history.records]
 
 
 class TestEvaluate:

@@ -117,13 +117,21 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 
 def _train_config(args) -> TrainConfig:
+    if args.epochs < 1:
+        raise ValueError(f"--epochs must be >= 1, got {args.epochs}")
     return TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                        optimizer=_optimizer_config(args), seed=args.seed,
                        bypass_endpoints=getattr(args, "bypass", False))
 
 
-def _train_manifest(args, command: str) -> dict:
-    return {
+def _write_run(args, command: str, history, net, **manifest) -> None:
+    """Write a training run's history CSV, optional checkpoint and
+    manifest (the run's flags plus `manifest`)."""
+    with open(args.out_csv, "w", encoding="ascii") as f:
+        f.write(history.to_csv())
+    if args.out_checkpoint:
+        save_network(net, args.out_checkpoint)
+    write_manifest(args.out_csv + ".manifest.txt", {
         "command": command,
         "n": args.n,
         "direction": getattr(args, "direction", "fwd"),
@@ -141,7 +149,8 @@ def _train_manifest(args, command: str) -> dict:
         "adam_beta2": args.adam_beta2,
         "adam_epsilon": args.adam_epsilon,
         "seed": args.seed,
-    }
+        **manifest,
+    })
 
 
 def cmd_simulate(args) -> int:
@@ -171,6 +180,8 @@ def cmd_operator_check(args) -> int:
         codes = np.arange(2 ** cells)[:, None]
         grids = ((codes >> np.arange(cells)) & 1).astype(np.uint8)
         grids = grids.reshape(-1, args.n, args.n)
+    elif args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     else:
         grids = random_grids(args.trials, args.n, 0.5, args.seed)
     wants = evolve(grids, 2)[-1]
@@ -250,21 +261,17 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = _train_config(args)
     count = args.train_count + args.test_count
     ds = generate_dataset(args.n, count, Direction(args.direction),
                           Phase(args.phase), EdgeMode(args.edge),
                           args.data_seed, args.density)
     net = build_model(Phase(args.phase), EdgeMode(args.edge),
                       bypass_endpoints=args.bypass, seed=args.model_seed)
-    history, net = train(net, ds, _train_config(args),
+    history, net = train(net, ds, config,
                          holdout_fraction=args.test_count / count)
-    with open(args.out_csv, "w", encoding="ascii") as f:
-        f.write(history.to_csv())
-    if args.out_checkpoint:
-        save_network(net, args.out_checkpoint)
-    manifest = _train_manifest(args, "train")
-    manifest.update(data_seed=args.data_seed, model_seed=args.model_seed)
-    write_manifest(args.out_csv + ".manifest.txt", manifest)
+    _write_run(args, "train", history, net, data_seed=args.data_seed,
+               model_seed=args.model_seed)
     final = history.final
     print(f"train: epochs={len(history)} "
           f"final cell_accuracy={final.cell_accuracy:.9g} "
@@ -317,15 +324,9 @@ def cmd_commute(args) -> int:
     history, net = commute_experiment(evolution, args.model_seed,
                                       config, n=args.n, count=args.count,
                                       holdout_fraction=args.holdout)
-    with open(args.out_csv, "w", encoding="ascii") as f:
-        f.write(history.to_csv())
-    if args.out_checkpoint:
-        save_network(net, args.out_checkpoint)
-    manifest = _train_manifest(args, "commute")
-    manifest.update(count=args.count, holdout=args.holdout,
-                    model_seed=args.model_seed,
-                    verify_trials=args.verify_trials)
-    write_manifest(args.out_csv + ".manifest.txt", manifest)
+    _write_run(args, "commute", history, net, count=args.count,
+               holdout=args.holdout, model_seed=args.model_seed,
+               verify_trials=args.verify_trials)
     print(f"commute: final loss={history.final.test_loss:.9g}")
     if args.verify_trials > 0:
         candidates = [

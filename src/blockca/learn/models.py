@@ -9,14 +9,15 @@ exact automaton.
 
 Every such network maps each 2x2 block of its partition on its own, so its
 whole behaviour is that of its core on the 16 block codes; block_form
-splits a network into its partition geometry and that core.
+splits a network into its partition geometry and that core, and blockwise
+maps every block of that partition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..ca import EdgeMode, Phase
+from ..ca import ALL_BLOCKS, EdgeMode, Phase
 from ..nn.layers import (
     BypassLayer,
     ConvLayer,
@@ -33,6 +34,9 @@ from ..nn.layers import (
 # Leading geometry layer -> the trailing layer that undoes it.
 _UNDOING_LAYER = {WrapShiftLayer: UnwrapShiftLayer, Pad1Layer: Crop1Layer}
 _POINTWISE_LAYERS = (ReLULayer, SigmoidLayer, BypassLayer)
+
+# The 16 blocks as one (16, 1, 2, 2) batch, block c carrying code c.
+CODE_BATCH = ALL_BLOCKS[:, None].astype(np.float64)
 
 HIDDEN_CHANNELS = 16
 DECODE_CHANNELS = 8
@@ -51,19 +55,15 @@ def build_model(phase: Phase, edge: EdgeMode, bypass_endpoints: bool = False,
     if rng is None:
         rng = np.random.default_rng(seed)
     encode = ConvLayer.create(rng, 1, HIDDEN_CHANNELS, size=2, stride=2)
+    mix = []
     if bypass_endpoints:
-        mix = ConvLayer.create(rng, HIDDEN_CHANNELS, HIDDEN_CHANNELS,
-                               size=1, stride=1)
-        decode = DeconvLayer.create(rng, HIDDEN_CHANNELS, DECODE_CHANNELS,
-                                    size=2, stride=2)
-        head = ConvLayer.create(rng, DECODE_CHANNELS, 1, size=1, stride=1)
-        core = [encode, BypassLayer(), mix, ReLULayer(), decode,
-                BypassLayer(), head, SigmoidLayer()]
-    else:
-        decode = DeconvLayer.create(rng, HIDDEN_CHANNELS, DECODE_CHANNELS,
-                                    size=2, stride=2)
-        head = ConvLayer.create(rng, DECODE_CHANNELS, 1, size=1, stride=1)
-        core = [encode, ReLULayer(), decode, ReLULayer(), head, SigmoidLayer()]
+        mix = [BypassLayer(), ConvLayer.create(
+            rng, HIDDEN_CHANNELS, HIDDEN_CHANNELS, size=1, stride=1)]
+    decode = DeconvLayer.create(rng, HIDDEN_CHANNELS, DECODE_CHANNELS,
+                                size=2, stride=2)
+    head = ConvLayer.create(rng, DECODE_CHANNELS, 1, size=1, stride=1)
+    act = BypassLayer if bypass_endpoints else ReLULayer
+    core = [encode, *mix, ReLULayer(), decode, act(), head, SigmoidLayer()]
     if phase is Phase.ALIGNED:
         return Network(core)
     if edge is EdgeMode.TORUS_WRAP:
@@ -117,3 +117,33 @@ def block_form(net: Network):
         raise ValueError("no 2x2 stride-2 deconv returns the blocks to "
                          "cell resolution")
     return lead, Network(layers)
+
+
+def code_forward(core: Network):
+    """Forward pass of a block-form core (see block_form) on CODE_BATCH:
+    its (16, 1, 2, 2) output, row c that of block code c, and its caches."""
+    out, caches = core.forward(CODE_BATCH)
+    if out.shape != CODE_BATCH.shape:
+        raise ValueError(f"network maps the 16 blocks {CODE_BATCH.shape} to "
+                         f"{out.shape}, not one channel per block")
+    return out, caches
+
+
+def blockwise(net: Network, fn, x: np.ndarray) -> np.ndarray:
+    """Apply a per-block map to every block of `net`'s partition of a
+    (..., n, n) stack: P, then `fn` from (blocks, 4) rows of cells (TL, TR,
+    BL, BR) to (blocks, 4) rows, then P^T, where P is the network's leading
+    geometry layer (see block_form)."""
+    lead, _ = block_form(net)
+    frame = x.reshape(-1, 1, *x.shape[-2:])
+    if lead is not None:
+        frame = lead.forward(frame)[0]
+    count, m = frame.shape[0], frame.shape[-1]
+    h = m // 2
+    # Axes (grid, block row, block column, row in block, column in block).
+    rows = frame.reshape(count, h, 2, h, 2).transpose(0, 1, 3, 2, 4)
+    z = fn(rows.reshape(-1, 4)).reshape(count, h, h, 2, 2)
+    z = z.transpose(0, 1, 3, 2, 4).reshape(count, 1, m, m)
+    if lead is not None:
+        z = net.layers[-1].forward(z)[0]
+    return z.reshape(x.shape)

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ca import Direction, EdgeMode, evolve, validate_grid, validate_grids
+from ..ca import (Direction, EdgeMode, block_codes, evolve, validate_grid,
+                  validate_grids)
 from ..nn.layers import Network
+from .models import block_form, blockwise, code_forward
 
 
 class TrainingDiverged(RuntimeError):
@@ -18,17 +20,20 @@ def predict_grids(model, grids: np.ndarray) -> np.ndarray:
 
     A grid map is a Network, whose output is its sigmoid probabilities, or
     a callable that takes and returns a (count, n, n) stack of binary
-    grids; the callable is called once for the whole stack.  A non-finite
-    network output raises TrainingDiverged instead of being scored.
+    grids; the callable is called once for the whole stack.  A Network's
+    core (see block_form) runs once on the 16 block codes, and that table
+    is read for every block of its partition.  A non-finite network output
+    raises TrainingDiverged instead of being scored.
     """
     if isinstance(model, Network):
-        out = model.predict(grids[:, None, :, :].astype(np.float64))
-        if out.shape != (grids.shape[0], 1, *grids.shape[1:]):
-            raise ValueError(f"network maps grids {grids.shape} to "
-                             f"{out.shape}, not one channel of the same grids")
+        table = code_forward(block_form(model)[1])[0].reshape(16, 4)
+
+        def lookup(rows):
+            return table[block_codes(rows.reshape(-1, 2, 2)).ravel()]
+        out = blockwise(model, lookup, validate_grids(grids))
         if not np.isfinite(out).all():
             raise TrainingDiverged("non-finite prediction")
-        return out[:, 0]
+        return out
     out = validate_grids(model(grids))
     if out.shape != grids.shape:
         raise ValueError(f"grid map returned shape {out.shape} "

@@ -4,7 +4,8 @@ Training runs in block-code space.  A build_model network maps every block
 of its partition on its own, so the loss of a minibatch is a sum over the
 16 block codes, weighted by how often each (code, cell, target bit) occurs.
 Each step runs the network's core once on the 16 codes instead of on the
-whole batch; dense backprop (Network.backward) stays as the reference.
+whole batch, and held-out evaluation reads the core's 16-code table (see
+predict_grids); dense backprop (Network.backward) stays as the reference.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..nn.layers import Network
 from ..nn.loss import bce_loss, counted_bce_loss
 from ..nn.optim import NetworkOptimizer, OptimizerConfig
 from .data import Dataset
-from .models import block_form
+from .models import CODE_BATCH, block_form, code_forward
 from .rollout import TrainingDiverged, predict_grids
 
 DEFAULT_GRID_SIZE = 16
@@ -81,8 +82,8 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_tensors(model, grids: np.ndarray, targets: np.ndarray,
-                     chunk: int = 1024) -> EvalResult:
+def evaluate_tensors(model, grids: np.ndarray,
+                     targets: np.ndarray) -> EvalResult:
     """Thresholded-at-0.5 cell accuracy, exact-grid rate and mean loss of a
     grid map (see predict_grids) on (count, n, n) grids against targets.
 
@@ -90,28 +91,19 @@ def evaluate_tensors(model, grids: np.ndarray, targets: np.ndarray,
     """
     if grids.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
-    cells_right = 0
-    grids_right = 0
-    loss_sum = 0.0
-    for lo in range(0, grids.shape[0], chunk):
-        xs, ts = grids[lo:lo + chunk], targets[lo:lo + chunk]
-        pred = predict_grids(model, xs)
-        loss, _ = bce_loss(pred, ts.astype(np.float64))
-        loss_sum += loss * xs.shape[0]
-        match = (pred >= 0.5) == ts
-        cells_right += int(match.sum())
-        grids_right += int(match.all(axis=(1, 2)).sum())
-    return EvalResult(cell_accuracy=cells_right / targets.size,
-                      exact_grid_rate=grids_right / grids.shape[0],
-                      mean_loss=loss_sum / grids.shape[0])
+    pred = predict_grids(model, grids)
+    loss, _ = bce_loss(pred, targets.astype(np.float64))
+    match = (pred >= 0.5) == targets
+    return EvalResult(
+        cell_accuracy=int(match.sum()) / targets.size,
+        exact_grid_rate=int(match.all(axis=(1, 2)).sum()) / len(grids),
+        mean_loss=loss)
 
 
 def evaluate(model, dataset: Dataset) -> EvalResult:
     return evaluate_tensors(model, dataset.inputs, dataset.targets)
 
 
-# The 16 blocks as one (16, 1, 2, 2) batch, block c carrying code c.
-_CODE_BATCH = ALL_BLOCKS[:, None].astype(np.float64)
 # _SCORES[(t, m), (k, b)] is 1 where a block whose target cells pack to
 # code t and whose scored-cell mask packs to code m scores its cell k
 # (2 * row in block + column in block) with target bit b.
@@ -151,13 +143,10 @@ def block_backward(lead, core: Network, inputs, targets) -> float:
     of that loss would leave in them.
     """
     hist = code_histogram(lead, inputs, targets)
-    probs, caches = core.forward(_CODE_BATCH)
-    if probs.shape != _CODE_BATCH.shape:
-        raise ValueError(f"core maps the 16 blocks to shape {probs.shape}, "
-                         f"not {_CODE_BATCH.shape}")
+    probs, caches = code_forward(core)
     loss, grad = counted_bce_loss(probs.reshape(16, 4), hist[..., 1],
                                   hist[..., 0], np.size(inputs))
-    core.backward(grad.reshape(_CODE_BATCH.shape), caches)
+    core.backward(grad.reshape(CODE_BATCH.shape), caches)
     return loss
 
 

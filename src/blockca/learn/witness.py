@@ -21,6 +21,8 @@ zero padding and runs blockwise in front of that network's core.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..ca import validate_grids
@@ -32,7 +34,7 @@ from ..nn.layers import (
     ReLULayer,
     SigmoidLayer,
 )
-from .models import block_form
+from .models import block_form, blockwise
 
 
 def lower_network(net: Network) -> list[tuple]:
@@ -55,14 +57,18 @@ def lower_network(net: Network) -> list[tuple]:
             continue
         if saw_sigmoid:
             raise ValueError(f"cannot lower {layer.kind} after the sigmoid")
+        # block_form's windows tile their input: stride equals kernel size.
         if isinstance(layer, ConvLayer):
-            stages.append(("affine", *conv_to_matrix(layer.kernel, shape)))
+            k = layer.kernel
+            stages.append(("affine", *conv_to_matrix(k, shape)))
+            shape = (k.out_channels, shape[1] // k.stride, shape[2] // k.stride)
         elif isinstance(layer, DeconvLayer):
-            stages.append(("affine", *deconv_to_matrix(layer.kernel, shape)))
+            k = layer.kernel
+            stages.append(("affine", *deconv_to_matrix(k, shape)))
+            shape = (k.in_channels, shape[1] * k.stride, shape[2] * k.stride)
         elif isinstance(layer, ReLULayer):
             stages.append(("relu",))
         # block_form admits no other kind but BypassLayer, the identity.
-        shape = layer.forward(np.zeros((1, *shape)))[0].shape[1:]
     if not saw_sigmoid:
         raise ValueError("expected a sigmoid output head")
     return stages
@@ -96,32 +102,11 @@ def binarize_stages(dim: int, alpha: float) -> list[tuple]:
     ]
 
 
-def _blockwise_logits(net: Network, stages, x: np.ndarray) -> np.ndarray:
-    """Apply per-block stages to every block of `net`'s partition of a
-    (..., n, n) float stack: P, then the stages on (blocks, 4) rows, then
-    P^T, where P is the network's leading geometry layer."""
-    lead, _ = block_form(net)
-    shape = x.shape
-    x = x.reshape(-1, 1, *shape[-2:])
-    if lead is not None:
-        x = lead.forward(x)[0]
-    count, m = x.shape[0], x.shape[-1]
-    h = m // 2
-    # Axes (grid, block row, block column, row in block, column in block).
-    blocks = x.reshape(count, h, 2, h, 2).transpose(0, 1, 3, 2, 4)
-    z = witness_logits(stages, blocks.reshape(-1, 4))
-    z = z.reshape(count, h, h, 2, 2).transpose(0, 1, 3, 2, 4)
-    z = z.reshape(count, 1, m, m)
-    if lead is not None:
-        z = net.layers[-1].forward(z)[0]
-    return z.reshape(shape)
-
-
 def single_step_witness(net: Network, grids) -> np.ndarray:
     """Predict a (..., n, n) stack of grids through the lowered stages,
     blockwise; logits thresholded at 0."""
     x = validate_grids(grids).astype(np.float64)
-    z = _blockwise_logits(net, lower_network(net), x)
+    z = blockwise(net, partial(witness_logits, lower_network(net)), x)
     return (z >= 0.0).astype(np.uint8)
 
 
@@ -136,10 +121,11 @@ def two_step_witness(net_aligned: Network, net_offset: Network,
     x = validate_grids(grids).astype(np.float64)
     if x.size == 0:
         raise ValueError("no margin exists on an empty set of grids")
-    z1 = _blockwise_logits(net_aligned, lower_network(net_aligned), x)
+    z1 = blockwise(net_aligned, partial(witness_logits,
+                                        lower_network(net_aligned)), x)
     margin = float(np.abs(z1).min())
     if margin == 0.0:
         raise ValueError("aligned logits touch zero; no clamp scale exists")
     chain = binarize_stages(4, 2.0 / margin) + lower_network(net_offset)
-    z2 = _blockwise_logits(net_offset, chain, z1)
+    z2 = blockwise(net_offset, partial(witness_logits, chain), z1)
     return (z2 >= 0.0).astype(np.uint8), margin

@@ -139,6 +139,12 @@ class TestOperatorCheck:
     def test_negative_trials_exit_3(self):
         assert run("operator-check", "--n", "4", "--trials", "-1") == 3
 
+    def test_zero_trials_exit_3_instead_of_a_vacuous_pass(self, capsys):
+        assert run("operator-check", "--n", "4", "--trials", "0") == 3
+        captured = capsys.readouterr()
+        assert "passed" not in captured.out
+        assert captured.err == "error: --trials must be >= 1, got 0\n"
+
 
 class TestLowerCheck:
     def test_default_trials_pass(self, capsys):
@@ -311,7 +317,9 @@ class TestTrainEvalRollout:
     def test_chained_checkpoint_of_the_wrong_shape_loads_and_exits_3(
             self, tmp_path, capsys, decode):
         # The layers chain, but the output is two half-size channels, or
-        # three full-size ones, not the one channel of a grid.
+        # three full-size ones, not the one channel of a grid.  Without a
+        # deconv, block_form rejects the network; with one, the core's
+        # output on the 16 block codes has the wrong shape.
         rng = np.random.default_rng(3)
         layers = [ConvLayer.create(rng, 1, 2, 2, 2)]
         if decode:
@@ -321,7 +329,9 @@ class TestTrainEvalRollout:
         assert len(load_network(ckpt).layers) == len(layers) + 1
         assert main(["eval", "--checkpoint", str(ckpt), "--n", "8",
                      "--count", "10", "--seed", "1"]) == 3
-        assert capsys.readouterr().err.startswith("error: network maps")
+        want = ("network maps" if decode
+                else "no 2x2 stride-2 deconv returns the blocks")
+        assert capsys.readouterr().err.startswith(f"error: {want}")
 
     def test_train_reruns_byte_identical(self, trained, tmp_path):
         _, csv_a, _, _ = trained
@@ -353,6 +363,17 @@ class TestCommuteAndGradcheck:
         assert main(["commute", "--n", "8", "--count", "200", "--epochs", "1",
                      "--verify-trials", "-4", "--out-csv", str(csv)]) == 3
         assert not csv.exists()
+
+    @pytest.mark.parametrize("command", ["train", "commute"])
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_epochs_below_one_exit_3_before_writing(self, tmp_path, capsys,
+                                                    command, epochs):
+        csv = tmp_path / "history.csv"
+        assert run(command, "--n", "8", "--epochs", epochs,
+                   "--out-csv", csv) == 3
+        assert capsys.readouterr().err == \
+            f"error: --epochs must be >= 1, got {epochs}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_gradcheck_passes_on_default_model(self, capsys):
         assert run("gradcheck", "--n", "4", "--seed", "5") == 0

@@ -23,6 +23,7 @@ from blockca.learn import (
     verify_commuting_solutions,
 )
 from blockca.learn.data import verify_dataset
+from blockca.learn.rollout import predict_grids
 from blockca.learn.train import fit
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
                         ReLULayer, SigmoidLayer, WrapShiftLayer,
@@ -272,6 +273,63 @@ class TestRollout:
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
             rollout(lambda g: g, lambda g: g, random_grid(4, 0.5, 0), 0)
+
+
+VARIANTS = [(phase, edge, bypass)
+            for phase, edge in [(Phase.ALIGNED, EdgeMode.TORUS_WRAP),
+                                (Phase.OFFSET, EdgeMode.TORUS_WRAP),
+                                (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP)]
+            for bypass in (False, True)]
+
+
+def all_4x4_grids():
+    """The 65536 binary 4x4 grids; bit k of index c is cell k of grid c."""
+    codes = np.arange(2 ** 16)[:, None]
+    return ((codes >> np.arange(16)) & 1).astype(np.uint8).reshape(-1, 4, 4)
+
+
+class TestBlockPrediction:
+    """predict_grids reads the core's 16-code table blockwise; the dense
+    whole-grid Network.predict is the reference it must reproduce."""
+
+    @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
+    @pytest.mark.parametrize("grids", [
+        all_4x4_grids, lambda: random_grids(200, 16, 0.5, 61)])
+    def test_matches_dense_reference(self, phase, edge, bypass, grids):
+        net = build_model(phase, edge, bypass_endpoints=bypass, seed=59)
+        # Untrained probabilities all lie on one side of 0.5; centre the
+        # head's logits so that thresholding splits the cells.
+        head = [layer for layer in net.layers
+                if isinstance(layer, ConvLayer)][-1]
+        p = np.median(net.predict(
+            random_grids(20, 8, 0.5, 0)[:, None].astype(np.float64)))
+        head.kernel.bias[:] -= np.log(p / (1.0 - p))
+        x = grids()
+        # In slices, to keep the dense reference's activations small.
+        dense = np.concatenate([
+            net.predict(x[lo:lo + 8192, None].astype(np.float64))[:, 0]
+            for lo in range(0, len(x), 8192)])
+        assert np.array_equal(apply_model_binary(net, x),
+                              (dense >= 0.5).astype(np.uint8))
+        assert np.abs(predict_grids(net, x) - dense).max() <= 1e-15
+
+    @pytest.mark.parametrize("layers,named", [
+        (lambda rng: build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
+                                 rng=rng).layers[:-2]
+         + [ConvLayer.create(rng, 8, 1, 3, 1), SigmoidLayer()],
+         "layer 4 (conv)"),
+        (lambda rng: [WrapShiftLayer(), *block_core(rng)],
+         "layer 6 (sigmoid)"),
+    ])
+    def test_rejects_non_block_networks_by_layer(self, layers, named):
+        net = Network(layers(np.random.default_rng(0)))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            predict_grids(net, random_grids(3, 8, 0.5, 0))
+
+    def test_rejects_non_binary_grids(self):
+        net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=0)
+        with pytest.raises(ValueError, match="0 or 1"):
+            predict_grids(net, 2 * random_grids(3, 8, 0.5, 0))
 
 
 class TestCommute:

@@ -5,8 +5,8 @@ import pytest
 
 from blockca.ca import EdgeMode, Phase, random_grid
 from blockca.learn import build_model, block_form
+from blockca.learn.models import blockwise
 from blockca.learn.witness import (
-    _blockwise_logits,
     binarize_stages,
     lower_network,
     single_step_witness,
@@ -55,7 +55,8 @@ def test_lowered_stages_reproduce_network_probabilities(phase, edge, bypass):
     stages = lower_network(net)
     for n in (4, 8):
         x = _grids(n, 6, 29)
-        z = _blockwise_logits(net, stages, x.astype(np.float64))
+        z = blockwise(net, lambda rows: witness_logits(stages, rows),
+                      x.astype(np.float64))
         probs = net.predict(x[:, None].astype(np.float64))[:, 0]
         # the trailing geometry acts on logits; it commutes with the sigmoid
         assert np.abs(_sigmoid(z) - probs).max() <= 1e-10
@@ -88,7 +89,8 @@ def test_block_stages_expand_to_whole_grid_chain(phase, edge, bypass, n):
     assert {s[0] for s in chain} == {"affine", "relu"}
     x = _grids(n, 6, 41).astype(np.float64)
     dense = witness_logits(chain, x.reshape(6, -1))
-    block = _blockwise_logits(net, stages, x).reshape(6, -1)
+    block = blockwise(net, lambda rows: witness_logits(stages, rows),
+                      x).reshape(6, -1)
     assert np.abs(dense - block).max() <= 1e-10
 
 

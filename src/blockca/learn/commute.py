@@ -21,7 +21,7 @@ import numpy as np
 from ..ca import EdgeMode, Phase, phase_at, random_grids, step
 from ..nn.loss import bce_loss
 from .models import build_model
-from .rollout import apply_model_binary, predict_grids
+from .rollout import apply_model_binary, predict_grids, tabulate
 from .train import TrainConfig, fit, split_holdout
 
 
@@ -122,8 +122,9 @@ def verify_commuting_solutions(candidates, trials: int, seed: int,
     report = CommuteReport()
     outputs = {}
     for name, candidate in candidates:
-        out = apply_model_binary(candidate, grids)
-        lhs = apply_model_binary(candidate, evolution(grids))
+        table = tabulate(candidate)
+        out = table.binary(grids)
+        lhs = table.binary(evolution(grids))
         rhs = evolution(out)
         passes = int((lhs == rhs).all(axis=(1, 2)).sum())
         report.results.append(CandidateResult(name, trials, passes))

@@ -129,12 +129,11 @@ def code_forward(core: Network):
     return out, caches
 
 
-def blockwise(net: Network, fn, x: np.ndarray) -> np.ndarray:
-    """Apply a per-block map to every block of `net`'s partition of a
-    (..., n, n) stack: P, then `fn` from (blocks, 4) rows of cells (TL, TR,
-    BL, BR) to (blocks, 4) rows, then P^T, where P is the network's leading
-    geometry layer (see block_form)."""
-    lead, _ = block_form(net)
+def blockwise(lead, fn, x: np.ndarray) -> np.ndarray:
+    """Apply a per-block map to every block of a partition of a (..., n, n)
+    stack: P, then `fn` from (blocks, 4) rows of cells (TL, TR, BL, BR) to
+    (blocks, 4) rows, then P^T, where P is `lead`, the leading geometry layer
+    of a network in block form (see block_form), or the identity for None."""
     frame = x.reshape(-1, 1, *x.shape[-2:])
     if lead is not None:
         frame = lead.forward(frame)[0]
@@ -145,5 +144,5 @@ def blockwise(net: Network, fn, x: np.ndarray) -> np.ndarray:
     z = fn(rows.reshape(-1, 4)).reshape(count, h, h, 2, 2)
     z = z.transpose(0, 1, 3, 2, 4).reshape(count, 1, m, m)
     if lead is not None:
-        z = net.layers[-1].forward(z)[0]
+        z = _UNDOING_LAYER[type(lead)]().forward(z)[0]
     return z.reshape(x.shape)

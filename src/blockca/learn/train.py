@@ -4,8 +4,9 @@ Training runs in block-code space.  A build_model network maps every block
 of its partition on its own, so the loss of a minibatch is a sum over the
 16 block codes, weighted by how often each (code, cell, target bit) occurs.
 Each step runs the network's core once on the 16 codes instead of on the
-whole batch, and held-out evaluation reads the core's 16-code table (see
-predict_grids); dense backprop (Network.backward) stays as the reference.
+whole batch, and held-out evaluation scores the core's 16-code table
+against the same block keys (see block_keys); dense backprop
+(Network.backward) stays as the reference.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ca import ALL_BLOCKS, block_codes
+from ..ca import ALL_BLOCKS, block_codes, validate_grids
 from ..nn.layers import Network
-from ..nn.loss import bce_loss, counted_bce_loss
+from ..nn.loss import counted_bce_loss
 from ..nn.optim import NetworkOptimizer, OptimizerConfig
 from .data import Dataset
 from .models import CODE_BATCH, block_form, code_forward
-from .rollout import TrainingDiverged, predict_grids
+from .rollout import TrainingDiverged, tabulate
 
 DEFAULT_GRID_SIZE = 16
 DEFAULT_TRAIN_COUNT = 8000
@@ -85,51 +86,76 @@ class TrainHistory:
 def evaluate_tensors(model, grids: np.ndarray,
                      targets: np.ndarray) -> EvalResult:
     """Thresholded-at-0.5 cell accuracy, exact-grid rate and mean loss of a
-    grid map (see predict_grids) on (count, n, n) grids against targets.
+    grid map on (count, n, n) grids against binary targets of that shape.
 
-    A non-finite prediction raises TrainingDiverged (see predict_grids).
+    The map is scored from its 16-code table (see rollout.tabulate): the
+    (code, cell, target bit) counts of the blocks give the loss and the
+    cell accuracy, and the table of block keys that hold a wrong cell gives
+    the exact-grid rate.  A non-finite table raises TrainingDiverged.
     """
     if grids.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
-    pred = predict_grids(model, grids)
-    loss, _ = bce_loss(pred, targets.astype(np.float64))
-    match = (pred >= 0.5) == targets
-    return EvalResult(
-        cell_accuracy=int(match.sum()) / targets.size,
-        exact_grid_rate=int(match.all(axis=(1, 2)).sum()) / len(grids),
-        mean_loss=loss)
+    frame, lead, table = tabulate(model)
+    x = frame(grids)
+    t = validate_grids(targets)
+    if t.shape != x.shape:
+        raise ValueError(f"target shape {t.shape} != grid shape {x.shape}")
+    keys = block_keys(lead, x, t)
+    counts = key_counts(keys)
+    loss, _ = counted_bce_loss(table, counts[..., 1], counts[..., 0], t.size)
+    hit = table >= 0.5
+    right = counts[..., 1][hit].sum() + counts[..., 0][~hit].sum()
+    exact = ~_wrong_blocks(hit)[keys].any(axis=1)
+    return EvalResult(cell_accuracy=int(right) / t.size,
+                      exact_grid_rate=int(exact.sum()) / len(x),
+                      mean_loss=loss)
 
 
 def evaluate(model, dataset: Dataset) -> EvalResult:
     return evaluate_tensors(model, dataset.inputs, dataset.targets)
 
 
-# _SCORES[(t, m), (k, b)] is 1 where a block whose target cells pack to
-# code t and whose scored-cell mask packs to code m scores its cell k
-# (2 * row in block + column in block) with target bit b.
-_CELL_BITS = ALL_BLOCKS.reshape(16, 4)
+# _CELL_BITS[c, k] is cell k (2 * row in block + column in block) of the
+# block of code c.  _SCORES[(t, m), (k, b)] is 1 where a block whose target
+# cells pack to code t and whose scored-cell mask packs to code m scores
+# its cell k with target bit b.
+_CELL_BITS = ALL_BLOCKS.reshape(16, 4).astype(bool)
 _SCORES = (_CELL_BITS[None, :, :, None]
            * (_CELL_BITS[:, None, :, None] == np.arange(2))
            ).reshape(256, 8).astype(np.float64)
 
 
-def code_histogram(lead, inputs, targets) -> np.ndarray:
-    """(16, 4, 2) counts of (block code, cell in block, target bit).
+def _wrong_blocks(hit: np.ndarray) -> np.ndarray:
+    """(4096,) bools by block key (see block_keys): whether a scored cell of
+    the block has a predicted bit, hit[input code], unlike its target."""
+    wrong = ((hit[:, None, None] != _CELL_BITS[None, :, None])
+             & _CELL_BITS[None, None, :])
+    return wrong.any(axis=-1).ravel()
 
-    `inputs` and `targets` are (N, n, n) binary grid stacks, taken into the
-    core's frame by the network's leading geometry layer `lead` (or left as
-    they are for None).  A ones mask goes along, so cells that the trailing
-    crop discards are not counted.  Counts are exact float64 integers.
+
+def block_keys(lead, inputs, targets) -> np.ndarray:
+    """(N, blocks) 12-bit keys of the blocks of (N, n, n) binary input and
+    target grid stacks: input code << 8 | target code << 4 | mask code.
+
+    The grids are taken into the core's frame by the network's leading
+    geometry layer `lead` (or left as they are for None).  A ones mask goes
+    along, so the mask code marks the cells that the trailing crop keeps.
     """
     frame = np.stack([inputs, targets, np.ones_like(inputs)], axis=1,
                      dtype=np.uint8)
     if frame.max() > 1:
-        raise ValueError("training grids must be binary")
+        raise ValueError("grids must be binary")
     if lead is not None:
         frame, _ = lead.forward(frame)
     codes = block_codes(frame).astype(np.uint16)
-    # One key per block: its input, target and mask codes.
     keys = codes[:, 0] << 8 | codes[:, 1] << 4 | codes[:, 2]
+    return keys.reshape(len(keys), -1)
+
+
+def key_counts(keys: np.ndarray) -> np.ndarray:
+    """(16, 4, 2) counts of (input code, cell in block, target bit) over the
+    scored cells of the blocks `keys` (see block_keys); exact float64
+    integers."""
     blocks = np.bincount(keys.ravel(), minlength=16 ** 3).reshape(16, 256)
     return (blocks @ _SCORES).reshape(16, 4, 2)
 
@@ -142,7 +168,7 @@ def block_backward(lead, core: Network, inputs, targets) -> float:
     layers are left holding the parameter gradients that Network.backward
     of that loss would leave in them.
     """
-    hist = code_histogram(lead, inputs, targets)
+    hist = key_counts(block_keys(lead, inputs, targets))
     probs, caches = code_forward(core)
     loss, grad = counted_bce_loss(probs.reshape(16, 4), hist[..., 1],
                                   hist[..., 0], np.size(inputs))

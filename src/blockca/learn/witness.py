@@ -106,7 +106,8 @@ def single_step_witness(net: Network, grids) -> np.ndarray:
     """Predict a (..., n, n) stack of grids through the lowered stages,
     blockwise; logits thresholded at 0."""
     x = validate_grids(grids).astype(np.float64)
-    z = blockwise(net, partial(witness_logits, lower_network(net)), x)
+    z = blockwise(block_form(net)[0],
+                  partial(witness_logits, lower_network(net)), x)
     return (z >= 0.0).astype(np.uint8)
 
 
@@ -121,11 +122,12 @@ def two_step_witness(net_aligned: Network, net_offset: Network,
     x = validate_grids(grids).astype(np.float64)
     if x.size == 0:
         raise ValueError("no margin exists on an empty set of grids")
-    z1 = blockwise(net_aligned, partial(witness_logits,
-                                        lower_network(net_aligned)), x)
+    z1 = blockwise(block_form(net_aligned)[0],
+                   partial(witness_logits, lower_network(net_aligned)), x)
     margin = float(np.abs(z1).min())
     if margin == 0.0:
         raise ValueError("aligned logits touch zero; no clamp scale exists")
     chain = binarize_stages(4, 2.0 / margin) + lower_network(net_offset)
-    z2 = blockwise(net_offset, partial(witness_logits, chain), z1)
+    z2 = blockwise(block_form(net_offset)[0],
+                   partial(witness_logits, chain), z1)
     return (z2 >= 0.0).astype(np.uint8), margin

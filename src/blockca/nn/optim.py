@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.algorithm!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
+        if not (math.isfinite(self.adam_epsilon) and self.adam_epsilon > 0):
+            raise ValueError("adam_epsilon must be positive and finite")
         if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
             raise ValueError("adam betas must lie in (0, 1)")
 
@@ -60,14 +63,32 @@ def optimizer_step(config: OptimizerConfig, params, grads, state: dict) -> dict:
 
 
 class NetworkOptimizer:
-    """Binds an optimizer config to a network's parameter arrays."""
+    """Binds an optimizer config to a network's parameter arrays.
+
+    The parameters are updated as one flat vector: each step gathers the
+    gradients into one vector, runs optimizer_step once on a zero vector of
+    the parameters' total size, which leaves the update in it, and adds
+    each parameter's slice of that update.  p + (-u) equals p - u bit for bit, so the parameters stay those
+    of optimizer_step run on each array in place.
+    """
 
     def __init__(self, config: OptimizerConfig, network):
         self.config = config
         self.network = network
-        self._params = [p for p, _ in network.parameters()]
-        self.state = init_optimizer_state(config, self._params)
+        pairs = network.parameters()
+        self._params = [p for p, _ in pairs]
+        self._grads = [g for _, g in pairs]
+        bounds = np.cumsum([0] + [p.size for p in self._params])
+        self._slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        self._grad = np.zeros(bounds[-1])
+        self._delta = np.zeros(bounds[-1])
+        self.state = init_optimizer_state(config, [self._delta])
 
     def step(self):
-        grads = [g() for _, g in self.network.parameters()]
-        self.state = optimizer_step(self.config, self._params, grads, self.state)
+        for g, part in zip(self._grads, self._slices):
+            self._grad[part] = g().ravel()
+        self._delta[:] = 0.0
+        self.state = optimizer_step(self.config, [self._delta], [self._grad],
+                                    self.state)
+        for p, part in zip(self._params, self._slices):
+            p += self._delta[part].reshape(p.shape)

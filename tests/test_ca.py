@@ -321,6 +321,39 @@ class TestRandomGrid:
         assert np.array_equal(got, np.array(want, dtype=np.uint8)
                               .reshape(count, 6, 6))
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 100, 1 << 16])
+    @pytest.mark.parametrize("count,n", [(0, 4), (1, 2), (4, 4), (25, 8)])
+    def test_bounded_draws_equal_one_draw(self, monkeypatch, chunk, count,
+                                          n):
+        monkeypatch.setattr(ca, "RANDOM_DRAW_CELLS", chunk)
+        rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+        got = ca.random_grids(count, n, 0.4, rng)
+        want = (ref.random((count, n, n)) < 0.4).astype(np.uint8)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        # The Generator is left where one draw would leave it.
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+
+
+class TestValidateGrids:
+    @pytest.mark.parametrize("cells", [
+        np.array([[True, False], [False, True]]),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[-0.0, 1.0], [1, 0]], dtype=np.float32),
+        np.array([[0, 1], [1, 1]], dtype=np.int64),
+        np.zeros((3, 2, 2), dtype=np.uint8),
+    ])
+    def test_binary_cells_accepted(self, cells):
+        got = ca.validate_grids(cells)
+        assert got.dtype == np.uint8 and np.array_equal(got, cells)
+
+    @pytest.mark.parametrize("cell", [2, -1, 0.5, np.nan, np.inf, 255])
+    def test_other_cells_rejected(self, cell):
+        cells = np.zeros((2, 4, 4), dtype=np.asarray(cell).dtype)
+        cells[1, 3, 2] = cell
+        with pytest.raises(ValueError, match="0 or 1"):
+            ca.validate_grids(cells)
+
 
 @st.composite
 def near_grid_text(draw):

@@ -375,6 +375,21 @@ class TestCommuteAndGradcheck:
             f"error: --epochs must be >= 1, got {epochs}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["train", "commute"])
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+        ("--adam-epsilon", "0", "adam_epsilon"),
+        ("--adam-epsilon", "-1", "adam_epsilon"),
+        ("--adam-epsilon", "nan", "adam_epsilon")])
+    def test_bad_optimizer_flags_exit_3_before_writing(self, tmp_path, capsys,
+                                                       command, flag, value,
+                                                       field):
+        csv = tmp_path / "history.csv"
+        assert run(command, "--n", "8", "--epochs", "1", flag, value,
+                   "--out-csv", csv) == 3
+        assert field in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_gradcheck_passes_on_default_model(self, capsys):
         assert run("gradcheck", "--n", "4", "--seed", "5") == 0
         assert "max relative error" in capsys.readouterr().out

@@ -17,7 +17,7 @@ from blockca.nn import (
     relu_margin,
 )
 from blockca.learn import block_form, build_model
-from blockca.learn.train import block_backward, code_histogram
+from blockca.learn.train import block_backward, block_keys, key_counts
 
 # Overlapping (stride < kernel) and gapped (stride > kernel) windows.
 WINDOWS = [(2, 1), (3, 1), (3, 2), (1, 2), (2, 3)]
@@ -144,7 +144,7 @@ def test_code_space_loss_and_gradients_equal_dense_backprop(phase, edge,
             want, dpred = bce_loss(pred, t[:, None].astype(np.float64))
             net.backward(dpred, caches)
             dense = [grad().copy() for _, grad in net.parameters()]
-            assert code_histogram(lead, x, t).sum() == x.size
+            assert key_counts(block_keys(lead, x, t)).sum() == x.size
             loss = block_backward(lead, core, x, t)
             assert abs(loss - want) <= 1e-12 * want
             for d, (_, grad) in zip(dense, net.parameters()):

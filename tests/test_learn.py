@@ -1,5 +1,6 @@
 """Datasets, model construction, training loop, rollout, commutativity."""
 
+import importlib
 import re
 
 import numpy as np
@@ -27,8 +28,11 @@ from blockca.learn.rollout import predict_grids
 from blockca.learn.train import fit
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
                         ReLULayer, SigmoidLayer, WrapShiftLayer,
-                        UnwrapShiftLayer)
+                        UnwrapShiftLayer, bce_loss)
 from blockca.nn.optim import NetworkOptimizer, OptimizerConfig
+
+# The module, not the function that blockca.learn exports under its name.
+rollout_module = importlib.import_module("blockca.learn.rollout")
 
 SMALL = TrainConfig(epochs=2, batch_size=8, seed=0,
                     optimizer=OptimizerConfig(learning_rate=1e-3))
@@ -288,6 +292,19 @@ def all_4x4_grids():
     return ((codes >> np.arange(16)) & 1).astype(np.uint8).reshape(-1, 4, 4)
 
 
+def centred_model(phase, edge, bypass, seed):
+    """build_model with the head's logits centred: untrained probabilities
+    all lie on one side of 0.5, and centring makes thresholding split the
+    cells."""
+    net = build_model(phase, edge, bypass_endpoints=bypass, seed=seed)
+    head = [layer for layer in net.layers
+            if isinstance(layer, ConvLayer)][-1]
+    p = np.median(net.predict(
+        random_grids(20, 8, 0.5, 0)[:, None].astype(np.float64)))
+    head.kernel.bias[:] -= np.log(p / (1.0 - p))
+    return net
+
+
 class TestBlockPrediction:
     """predict_grids reads the core's 16-code table blockwise; the dense
     whole-grid Network.predict is the reference it must reproduce."""
@@ -296,14 +313,7 @@ class TestBlockPrediction:
     @pytest.mark.parametrize("grids", [
         all_4x4_grids, lambda: random_grids(200, 16, 0.5, 61)])
     def test_matches_dense_reference(self, phase, edge, bypass, grids):
-        net = build_model(phase, edge, bypass_endpoints=bypass, seed=59)
-        # Untrained probabilities all lie on one side of 0.5; centre the
-        # head's logits so that thresholding splits the cells.
-        head = [layer for layer in net.layers
-                if isinstance(layer, ConvLayer)][-1]
-        p = np.median(net.predict(
-            random_grids(20, 8, 0.5, 0)[:, None].astype(np.float64)))
-        head.kernel.bias[:] -= np.log(p / (1.0 - p))
+        net = centred_model(phase, edge, bypass, seed=59)
         x = grids()
         # In slices, to keep the dense reference's activations small.
         dense = np.concatenate([
@@ -330,6 +340,94 @@ class TestBlockPrediction:
         net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=0)
         with pytest.raises(ValueError, match="0 or 1"):
             predict_grids(net, 2 * random_grids(3, 8, 0.5, 0))
+
+
+def dense_scores(pred, targets):
+    """The dense reference of evaluate_tensors on a float prediction:
+    (cell accuracy, exact-grid rate, mean BCE)."""
+    loss, _ = bce_loss(pred, targets.astype(np.float64))
+    match = (pred >= 0.5) == targets
+    return (int(match.sum()) / match.size,
+            int(match.all(axis=(1, 2)).sum()) / len(match), loss)
+
+
+def flip_a_third(grids, seed):
+    """Copy of a binary stack with one cell flipped in every third grid,
+    cycling through the corners, the edges (where pad-and-crop networks
+    read padded blocks) and the interior."""
+    n = grids.shape[-1]
+    cells = [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (0, n // 2),
+             (n - 1, 1), (n // 2, 0), (1, n - 1), (n // 2, n // 2 - 1)]
+    out = grids.copy()
+    rng = np.random.default_rng(seed)
+    for j, i in enumerate(range(0, len(out), 3)):
+        r, c = cells[j % len(cells)] if j < len(cells) \
+            else rng.integers(0, n, 2)
+        out[i, r, c] ^= 1
+    return out
+
+
+class TestBlockEvaluation:
+    """evaluate_tensors scores the 16-code table against block keys; the
+    dense Network.predict with bce_loss and a threshold is its reference."""
+
+    @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_matches_dense_reference(self, phase, edge, bypass, n):
+        net = centred_model(phase, edge, bypass, seed=67)
+        x = random_grids(60, n, 0.5, n)
+        pred = net.predict(x[:, None].astype(np.float64))[:, 0]
+        t = flip_a_third((pred >= 0.5).astype(np.uint8), n)
+        accuracy, rate, loss = dense_scores(pred, t)
+        assert 0.0 < rate < 1.0
+        result = evaluate_tensors(net, x, t)
+        assert result.cell_accuracy == accuracy
+        assert result.exact_grid_rate == rate
+        assert abs(result.mean_loss - loss) <= 1e-12 * loss
+
+    def test_callables_score_their_own_output(self):
+        x = random_grids(60, 8, 0.5, 71)
+        t = flip_a_third(step(x, Phase.ALIGNED), 71)
+        for fn in (lambda g: step(g, Phase.ALIGNED), lambda g: g,
+                   lambda g: np.zeros_like(g)):
+            accuracy, rate, loss = dense_scores(
+                fn(x).astype(np.float64), t)
+            result = evaluate_tensors(fn, x, t)
+            assert (result.cell_accuracy, result.exact_grid_rate) == \
+                (accuracy, rate)
+            assert abs(result.mean_loss - loss) <= 1e-12 * loss
+
+    @pytest.mark.parametrize("bad", [
+        lambda t: 2 * t, lambda t: t - 1, lambda t: t * 0.5,
+        lambda t: np.where(t, np.nan, 0.0), lambda t: t[:, :-2, :-2],
+        lambda t: t[:-1], lambda t: t[0]])
+    def test_rejects_non_binary_or_misshaped_targets(self, bad):
+        x = random_grids(6, 8, 0.5, 73)
+        t = bad(step(x, Phase.ALIGNED).astype(np.int64))
+        for model in (build_model(Phase.OFFSET, EdgeMode.ZERO_PAD_CROP,
+                                  seed=0), lambda g: g):
+            with pytest.raises(ValueError):
+                evaluate_tensors(model, x, t)
+
+    def test_rollout_runs_each_core_once(self, monkeypatch):
+        net_a = centred_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, False, 3)
+        net_o = centred_model(Phase.OFFSET, EdgeMode.TORUS_WRAP, False, 4)
+        g = random_grid(16, 0.5, 79)
+        want = [g]
+        for k in range(10):
+            net = net_a if k % 2 == 0 else net_o
+            want.append(apply_model_binary(net, want[-1][None])[0])
+        cores = []
+        real = rollout_module.code_forward
+
+        def counted(core):
+            cores.append(core.layers)
+            return real(core)
+        monkeypatch.setattr(rollout_module, "code_forward", counted)
+        trajectory, _ = rollout(net_a, net_o, g, steps=10)
+        assert cores == [block_form(net_a)[1].layers,
+                         block_form(net_o)[1].layers]
+        assert all(np.array_equal(a, b) for a, b in zip(trajectory, want))
 
 
 class TestCommute:

@@ -240,6 +240,45 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             OptimizerConfig(adam_beta1=1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", np.nan), ("learning_rate", np.inf),
+        ("learning_rate", -np.inf), ("adam_epsilon", 0.0),
+        ("adam_epsilon", -1.0), ("adam_epsilon", np.nan),
+        ("adam_epsilon", np.inf)])
+    def test_non_finite_rate_and_non_positive_epsilon_rejected(self, field,
+                                                               value):
+        for algorithm in ("sgd", "adam"):
+            with pytest.raises(ValueError, match=field):
+                OptimizerConfig(algorithm=algorithm, **{field: value})
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "adam"])
+    def test_network_step_equals_per_array_steps_bit_for_bit(self,
+                                                             algorithm):
+        config = OptimizerConfig(algorithm=algorithm, learning_rate=0.01)
+        nets = [Network([ConvLayer.create(np.random.default_rng(8), 1, 3,
+                                          2, 2),
+                         DeconvLayer.create(np.random.default_rng(9), 3, 2,
+                                            2, 2),
+                         ConvLayer.create(np.random.default_rng(10), 2, 1,
+                                          1, 1),
+                         SigmoidLayer()]) for _ in range(2)]
+        opt = NetworkOptimizer(config, nets[0])
+        params = [p for p, _ in nets[1].parameters()]
+        state = init_optimizer_state(config, params)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            x = rng.random((4, 1, 4, 4))
+            t = (rng.random((4, 1, 4, 4)) < 0.5).astype(np.float64)
+            grads = []
+            for net in nets:
+                pred, caches = net.forward(x)
+                net.backward(bce_loss(pred, t)[1], caches)
+                grads.append([g().copy() for _, g in net.parameters()])
+            opt.step()
+            state = optimizer_step(config, params, grads[1], state)
+            for (a, _), b in zip(nets[0].parameters(), params):
+                assert a.tobytes() == b.tobytes()
+
     def test_network_optimizer_descends_on_toy_problem(self):
         rng = np.random.default_rng(6)
         net = Network([ConvLayer.create(rng, 1, 1, 1, 1), SigmoidLayer()])

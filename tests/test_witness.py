@@ -55,7 +55,8 @@ def test_lowered_stages_reproduce_network_probabilities(phase, edge, bypass):
     stages = lower_network(net)
     for n in (4, 8):
         x = _grids(n, 6, 29)
-        z = blockwise(net, lambda rows: witness_logits(stages, rows),
+        z = blockwise(block_form(net)[0],
+                      lambda rows: witness_logits(stages, rows),
                       x.astype(np.float64))
         probs = net.predict(x[:, None].astype(np.float64))[:, 0]
         # the trailing geometry acts on logits; it commutes with the sigmoid
@@ -89,7 +90,7 @@ def test_block_stages_expand_to_whole_grid_chain(phase, edge, bypass, n):
     assert {s[0] for s in chain} == {"affine", "relu"}
     x = _grids(n, 6, 41).astype(np.float64)
     dense = witness_logits(chain, x.reshape(6, -1))
-    block = blockwise(net, lambda rows: witness_logits(stages, rows),
+    block = blockwise(lead, lambda rows: witness_logits(stages, rows),
                       x).reshape(6, -1)
     assert np.abs(dense - block).max() <= 1e-10
 

@@ -135,26 +135,38 @@ def validate_grid(grid) -> np.ndarray:
     return validate_grids(g)
 
 
-def _apply_blockwise(grids: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Transform every aligned 2x2 block of validated (..., n, n) grids.
-
-    Codes stay uint8 (at most 15), so the work arrays are no wider than
-    the grids themselves.
-    """
-    return blocks_from_codes(table[block_codes(grids)])
-
-
-def _step_with_table(grids: np.ndarray, phase: Phase, edge: EdgeMode,
-                     table: np.ndarray) -> np.ndarray:
+def to_frame(x: np.ndarray, phase: Phase, edge: EdgeMode) -> np.ndarray:
+    """A (..., n, n) stack in the frame whose aligned 2x2 blocks are the
+    blocks of the partition (phase, edge), keeping its dtype: the stack
+    itself for aligned, else every cell moved by (+1, +1), by a torus
+    translation or, in pad mode, into a ring of zeros (n+2 a side)."""
     if phase is Phase.ALIGNED:
-        return _apply_blockwise(grids, table)
+        return x
     if edge is EdgeMode.TORUS_WRAP:
-        # Shift so the offset partition becomes the aligned one, and back.
-        shifted = np.roll(grids, (-1, -1), axis=(-2, -1))
-        return np.roll(_apply_blockwise(shifted, table), (1, 1),
-                       axis=(-2, -1))
-    pad = [(0, 0)] * (grids.ndim - 2) + [(1, 1), (1, 1)]
-    return _apply_blockwise(np.pad(grids, pad), table)[..., 1:-1, 1:-1]
+        return np.roll(x, (1, 1), axis=(-2, -1))
+    out = np.zeros((*x.shape[:-2], x.shape[-2] + 2, x.shape[-1] + 2), x.dtype)
+    out[..., 1:-1, 1:-1] = x
+    return out
+
+
+def from_frame(z: np.ndarray, phase: Phase, edge: EdgeMode) -> np.ndarray:
+    """Inverse of to_frame: translate back by (-1, -1) or crop the ring."""
+    if phase is Phase.ALIGNED:
+        return z
+    if edge is EdgeMode.TORUS_WRAP:
+        return np.roll(z, (-1, -1), axis=(-2, -1))
+    return z[..., 1:-1, 1:-1]
+
+
+def apply_rule(grids: np.ndarray, phase: Phase, edge: EdgeMode,
+               table: np.ndarray) -> np.ndarray:
+    """Apply a block rule, given as its 16-entry code table, to a validated
+    (..., n, n) stack (see validate_grids): every block of code c of the
+    partition (phase, edge) becomes the block of code table[c].  Codes stay
+    uint8, so the work arrays are no wider than the grids themselves."""
+    frame = to_frame(grids, phase, edge)
+    return from_frame(blocks_from_codes(table[block_codes(frame)]),
+                      phase, edge)
 
 
 def step(grid, phase: Phase = Phase.ALIGNED,
@@ -164,7 +176,7 @@ def step(grid, phase: Phase = Phase.ALIGNED,
     Takes one (n, n) grid or a (..., n, n) stack and steps every grid of
     the stack; the result has the input's shape.
     """
-    return _step_with_table(validate_grids(grid), phase, edge, BLOCK_TABLE)
+    return apply_rule(validate_grids(grid), phase, edge, BLOCK_TABLE)
 
 
 def inverse_step(grid, phase: Phase = Phase.ALIGNED,
@@ -177,8 +189,7 @@ def inverse_step(grid, phase: Phase = Phase.ALIGNED,
     if edge is not EdgeMode.TORUS_WRAP:
         raise ValueError("inverse stepping requires torus wrap; "
                          "pad-and-crop discards edge information")
-    return _step_with_table(validate_grids(grid), phase, edge,
-                            INVERSE_BLOCK_TABLE)
+    return apply_rule(validate_grids(grid), phase, edge, INVERSE_BLOCK_TABLE)
 
 
 def phase_at(index: int) -> Phase:
@@ -202,13 +213,12 @@ def evolve(grid, steps: int, edge: EdgeMode = EdgeMode.TORUS_WRAP,
         raise ValueError(f"steps must be >= 0, got {steps}")
     if direction is Direction.BACKWARD and edge is not EdgeMode.TORUS_WRAP:
         raise ValueError("backward evolution requires torus wrap")
+    forward = direction is Direction.FORWARD
+    table = BLOCK_TABLE if forward else INVERSE_BLOCK_TABLE
     out = [g]
     for k in range(steps):
-        if direction is Direction.FORWARD:
-            g = _step_with_table(g, phase_at(k), edge, BLOCK_TABLE)
-        else:
-            g = _step_with_table(g, phase_at(steps - 1 - k), edge,
-                                 INVERSE_BLOCK_TABLE)
+        g = apply_rule(g, phase_at(k if forward else steps - 1 - k), edge,
+                       table)
         out.append(g)
     return out
 
@@ -243,11 +253,7 @@ def random_grids(count: int, n: int, density: float, seed) -> np.ndarray:
 
 
 def random_grid(n: int, density: float, seed) -> np.ndarray:
-    """Grid with iid Bernoulli(density) cells; deterministic per seed.
-
-    `seed` may be an int or an existing numpy Generator (consumed in place,
-    which lets callers draw many grids from one stream).
-    """
+    """One (n, n) grid, the first of random_grids(1, n, density, seed)."""
     return random_grids(1, n, density, seed)[0]
 
 
@@ -264,11 +270,12 @@ def parse_grid(text: str) -> np.ndarray:
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines:
         raise GridFormatError("empty grid text")
-    try:
-        n = int(lines[0])
-    except ValueError:
+    head = lines[0]
+    # int() refuses strings of more than 4300 digits with ValueError.
+    if not (head.isascii() and head.isdigit() and len(head) <= 18):
         raise GridFormatError(f"first line must be the side length, "
-                              f"got {lines[0]!r}") from None
+                              f"got {head!r}")
+    n = int(head)
     if len(lines) != n + 1:
         raise GridFormatError(f"expected {n} rows after the header, "
                               f"got {len(lines) - 1}")
@@ -295,9 +302,16 @@ def parse_trajectory(text: str) -> list[np.ndarray]:
     return [parse_grid(c) for c in chunks]
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, encoding="ascii") as f:
+            return f.read()
+    except UnicodeDecodeError:
+        raise GridFormatError(f"{path} is not ASCII text") from None
+
+
 def read_grid(path) -> np.ndarray:
-    with open(path, encoding="ascii") as f:
-        return parse_grid(f.read())
+    return parse_grid(_read_text(path))
 
 
 def write_grid(path, grid) -> None:
@@ -306,8 +320,7 @@ def write_grid(path, grid) -> None:
 
 
 def read_trajectory(path) -> list[np.ndarray]:
-    with open(path, encoding="ascii") as f:
-        return parse_trajectory(f.read())
+    return parse_trajectory(_read_text(path))
 
 
 def write_trajectory(path, grids) -> None:

@@ -1,10 +1,10 @@
 """Command-line front end: simulation, operator checks, training,
 evaluation, rollout, gradient checking and the commutativity experiment.
 
-Exit codes: 0 success, 2 input parse error, 3 invalid configuration,
-4 numerical failure.  All randomness flows from explicit --seed flags and
-outputs carry no timestamps, so identical invocations produce byte-identical
-files.
+Exit codes: 0 success, 2 input parse or file error, 3 invalid
+configuration, 4 numerical failure.  All randomness flows from explicit
+--seed flags and outputs carry no timestamps, so identical invocations
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .ca import (
     random_grid,
     random_grids,
     read_grid,
+    step,
     write_trajectory,
     format_trajectory,
 )
@@ -108,19 +109,15 @@ def write_manifest(path, entries: dict) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(algorithm=args.optimizer,
-                           learning_rate=args.lr,
-                           adam_beta1=args.adam_beta1,
-                           adam_beta2=args.adam_beta2,
-                           adam_epsilon=args.adam_epsilon)
-
-
 def _train_config(args) -> TrainConfig:
     if args.epochs < 1:
         raise ValueError(f"--epochs must be >= 1, got {args.epochs}")
+    optimizer = OptimizerConfig(
+        algorithm=args.optimizer, learning_rate=args.lr,
+        adam_beta1=args.adam_beta1, adam_beta2=args.adam_beta2,
+        adam_epsilon=args.adam_epsilon)
     return TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                       optimizer=_optimizer_config(args), seed=args.seed,
+                       optimizer=optimizer, seed=args.seed,
                        bypass_endpoints=getattr(args, "bypass", False))
 
 
@@ -244,10 +241,15 @@ def cmd_lower_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
+def _dataset(args, count: int, seed: int):
+    """The dataset of the --direction/--phase/--edge/--density task."""
+    return generate_dataset(args.n, count, Direction(args.direction),
+                            Phase(args.phase), EdgeMode(args.edge), seed,
+                            args.density)
+
+
 def cmd_gen_data(args) -> int:
-    ds = generate_dataset(args.n, args.count, Direction(args.direction),
-                          Phase(args.phase), EdgeMode(args.edge), args.seed,
-                          args.density)
+    ds = _dataset(args, args.count, args.seed)
     if not verify_dataset(ds):
         raise TrainingDiverged("generated targets failed re-verification")
     write_trajectory(f"{args.out_prefix}.inputs.txt", ds.inputs)
@@ -263,9 +265,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     config = _train_config(args)
     count = args.train_count + args.test_count
-    ds = generate_dataset(args.n, count, Direction(args.direction),
-                          Phase(args.phase), EdgeMode(args.edge),
-                          args.data_seed, args.density)
+    ds = _dataset(args, count, args.data_seed)
     net = build_model(Phase(args.phase), EdgeMode(args.edge),
                       bypass_endpoints=args.bypass, seed=args.model_seed)
     history, net = train(net, ds, config,
@@ -282,10 +282,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     net = load_network(args.checkpoint)
-    ds = generate_dataset(args.n, args.count, Direction(args.direction),
-                          Phase(args.phase), EdgeMode(args.edge), args.seed,
-                          args.density)
-    result = evaluate(net, ds)
+    result = evaluate(net, _dataset(args, args.count, args.seed))
     report = (f"cell_accuracy={result.cell_accuracy:.9g}\n"
               f"exact_grid_rate={result.exact_grid_rate:.9g}\n"
               f"mean_loss={result.mean_loss:.9g}\n")
@@ -298,19 +295,13 @@ def cmd_rollout(args) -> int:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     net_aligned = load_network(args.checkpoint_aligned)
     net_offset = load_network(args.checkpoint_offset)
-    rng = np.random.default_rng(args.seed)
-    divergences = []
-    for _ in range(args.count):
-        g = random_grid(args.n, args.density, rng)
-        _, div = rollout(net_aligned, net_offset, g, args.steps)
-        divergences.append(div)
-    counts = {}
-    for d in divergences:
-        counts[d] = counts.get(d, 0) + 1
+    grids = random_grids(args.count, args.n, args.density, args.seed)
+    _, divergence = rollout(net_aligned, net_offset, grids, args.steps)
     lines = [f"steps={args.steps}", f"trials={args.count}",
-             f"mean_divergence_step={np.mean(divergences):.9g}",
-             f"exact_rollouts={counts.get(args.steps + 1, 0)}"]
-    lines += [f"divergence_at_{k}={counts[k]}" for k in sorted(counts)]
+             f"mean_divergence_step={divergence.mean():.9g}",
+             f"exact_rollouts={(divergence == args.steps + 1).sum()}"]
+    lines += [f"divergence_at_{k}={c}"
+              for k, c in zip(*np.unique(divergence, return_counts=True))]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -345,15 +336,13 @@ def cmd_commute(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .ca import step as exact_step
-
     phase, edge = Phase(args.phase), EdgeMode(args.edge)
     net = build_model(phase, edge, bypass_endpoints=args.bypass,
                       seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     x = draw_input_with_margin(net, (args.batch, 1, args.n, args.n), rng)
-    target = exact_step((x[:, 0] >= 0.5).astype(np.uint8), phase,
-                        edge)[:, None].astype(np.float64)
+    target = step((x[:, 0] >= 0.5).astype(np.uint8), phase, edge)
+    target = target[:, None].astype(np.float64)
     err = grad_check(net, x, target)
     print(f"gradcheck: max relative error {err:.3e}")
     return EXIT_OK if err <= GRADCHECK_TOLERANCE else EXIT_NUMERIC
@@ -375,6 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--adam-epsilon", type=float, default=1e-8)
         p.add_argument("--seed", type=int, default=0,
                        help="seed for shuffling and batching")
+
+    def add_task_flags(p):
+        p.add_argument("--direction", choices=["fwd", "bwd"], default="fwd")
+        p.add_argument("--phase", choices=["aligned", "offset"],
+                       default="aligned")
+        p.add_argument("--edge", choices=["torus", "pad"], default="torus")
+        p.add_argument("--density", type=float, default=DEFAULT_DENSITY)
 
     p = sub.add_parser("simulate", help="run a trajectory")
     src = p.add_mutually_exclusive_group(required=True)
@@ -412,11 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="write a dataset as grid text files")
     p.add_argument("--n", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--direction", choices=["fwd", "bwd"], default="fwd")
-    p.add_argument("--phase", choices=["aligned", "offset"], default="aligned")
-    p.add_argument("--edge", choices=["torus", "pad"], default="torus")
+    add_task_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=DEFAULT_DENSITY)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_gen_data)
 
@@ -424,12 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--train-count", type=int, default=DEFAULT_TRAIN_COUNT)
     p.add_argument("--test-count", type=int, default=DEFAULT_TEST_COUNT)
-    p.add_argument("--direction", choices=["fwd", "bwd"], default="fwd")
-    p.add_argument("--phase", choices=["aligned", "offset"], default="aligned")
-    p.add_argument("--edge", choices=["torus", "pad"], default="torus")
+    add_task_flags(p)
     p.add_argument("--bypass", action="store_true",
                    help="identity activations on the first and last hidden layers")
-    p.add_argument("--density", type=float, default=DEFAULT_DENSITY)
     p.add_argument("--data-seed", type=int, default=1)
     p.add_argument("--model-seed", type=int, default=2)
     add_common_train_flags(p)
@@ -441,10 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--count", type=int, default=DEFAULT_TEST_COUNT)
-    p.add_argument("--direction", choices=["fwd", "bwd"], default="fwd")
-    p.add_argument("--phase", choices=["aligned", "offset"], default="aligned")
-    p.add_argument("--edge", choices=["torus", "pad"], default="torus")
-    p.add_argument("--density", type=float, default=DEFAULT_DENSITY)
+    add_task_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
@@ -494,7 +481,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (GridFormatError, CheckpointFormatError, FileNotFoundError) as exc:
+    except (GridFormatError, CheckpointFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (TrainingDiverged, MarginNotFound) as exc:

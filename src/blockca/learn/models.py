@@ -9,15 +9,15 @@ exact automaton.
 
 Every such network maps each 2x2 block of its partition on its own, so its
 whole behaviour is that of its core on the 16 block codes; block_form
-splits a network into its partition geometry and that core, and blockwise
-maps every block of that partition.
+splits a network into its partition (see ca.to_frame) and that core, and
+blockwise maps every block of that partition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..ca import ALL_BLOCKS, EdgeMode, Phase
+from ..ca import ALL_BLOCKS, EdgeMode, Phase, from_frame, to_frame
 from ..nn.layers import (
     BypassLayer,
     ConvLayer,
@@ -31,8 +31,10 @@ from ..nn.layers import (
     WrapShiftLayer,
 )
 
-# Leading geometry layer -> the trailing layer that undoes it.
-_UNDOING_LAYER = {WrapShiftLayer: UnwrapShiftLayer, Pad1Layer: Crop1Layer}
+# Leading geometry layer -> (the layer undoing it, its ca frame's edge mode).
+_LEADS = {WrapShiftLayer: (UnwrapShiftLayer, EdgeMode.TORUS_WRAP),
+          Pad1Layer: (Crop1Layer, EdgeMode.ZERO_PAD_CROP)}
+ALIGNED_PARTITION = (Phase.ALIGNED, EdgeMode.TORUS_WRAP)
 _POINTWISE_LAYERS = (ReLULayer, SigmoidLayer, BypassLayer)
 
 # The 16 blocks as one (16, 1, 2, 2) batch, block c carrying code c.
@@ -79,21 +81,23 @@ def _is_window(layer, cls, size: int, stride: int) -> bool:
 
 
 def block_form(net: Network):
-    """Split a build_model network into (lead, core).
+    """Split a build_model network into (partition, core).
 
-    `lead` is the leading WrapShiftLayer or Pad1Layer, or None, and `core`
-    a Network of the layers between it and the trailing layer that undoes
-    it.  The core is checked to be block-local: a 2x2 stride-2 conv, then
-    1x1 stride-1 convs and pointwise layers around exactly one 2x2 stride-2
-    deconv.  So the network's output on each block of lead's frame depends
-    on that block's 4-bit code alone.  Anything else raises ValueError
-    naming the offending layer.
+    `partition` is the (Phase, EdgeMode) whose frame (see ca.to_frame) the
+    leading WrapShiftLayer or Pad1Layer builds, or ALIGNED_PARTITION, and
+    `core` a Network of the layers inside that frame.  The core is checked
+    to be block-local: a 2x2 stride-2 conv, then 1x1 stride-1 convs and
+    pointwise layers around exactly one 2x2 stride-2 deconv.  So the
+    network's output on each block of the partition depends on that
+    block's 4-bit code alone.  Anything else raises ValueError naming the
+    offending layer.
     """
     layers = list(net.layers)
-    lead = layers[0] if layers and type(layers[0]) in _UNDOING_LAYER \
-        else None
+    lead = layers[0] if layers and type(layers[0]) in _LEADS else None
+    partition = ALIGNED_PARTITION
     if lead is not None:
-        undo = _UNDOING_LAYER[type(lead)]
+        undo, edge = _LEADS[type(lead)]
+        partition = (Phase.OFFSET, edge)
         if not isinstance(layers[-1], undo):
             raise ValueError(f"layer {len(layers) - 1} ({layers[-1].kind}) "
                              f"does not undo the leading {lead.kind}; "
@@ -116,7 +120,7 @@ def block_form(net: Network):
     if not decoded:
         raise ValueError("no 2x2 stride-2 deconv returns the blocks to "
                          "cell resolution")
-    return lead, Network(layers)
+    return partition, Network(layers)
 
 
 def code_forward(core: Network):
@@ -129,20 +133,15 @@ def code_forward(core: Network):
     return out, caches
 
 
-def blockwise(lead, fn, x: np.ndarray) -> np.ndarray:
-    """Apply a per-block map to every block of a partition of a (..., n, n)
-    stack: P, then `fn` from (blocks, 4) rows of cells (TL, TR, BL, BR) to
-    (blocks, 4) rows, then P^T, where P is `lead`, the leading geometry layer
-    of a network in block form (see block_form), or the identity for None."""
-    frame = x.reshape(-1, 1, *x.shape[-2:])
-    if lead is not None:
-        frame = lead.forward(frame)[0]
-    count, m = frame.shape[0], frame.shape[-1]
+def blockwise(partition, fn, x: np.ndarray) -> np.ndarray:
+    """Apply a per-block map to every block of a partition (Phase, EdgeMode)
+    of a (..., n, n) stack: ca.to_frame, then `fn` from (blocks, 4) rows of
+    cells (TL, TR, BL, BR) to (blocks, 4) rows, then ca.from_frame."""
+    frame = to_frame(x, *partition)
+    m = frame.shape[-1]
     h = m // 2
     # Axes (grid, block row, block column, row in block, column in block).
-    rows = frame.reshape(count, h, 2, h, 2).transpose(0, 1, 3, 2, 4)
-    z = fn(rows.reshape(-1, 4)).reshape(count, h, h, 2, 2)
-    z = z.transpose(0, 1, 3, 2, 4).reshape(count, 1, m, m)
-    if lead is not None:
-        z = _UNDOING_LAYER[type(lead)]().forward(z)[0]
-    return z.reshape(x.shape)
+    rows = frame.reshape(-1, h, 2, h, 2).transpose(0, 1, 3, 2, 4)
+    z = fn(rows.reshape(-1, 4)).reshape(-1, h, h, 2, 2)
+    z = z.transpose(0, 1, 3, 2, 4).reshape(frame.shape)
+    return from_frame(z, *partition)

@@ -7,10 +7,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..ca import (Direction, EdgeMode, block_codes, evolve, validate_grid,
+from ..ca import (Direction, EdgeMode, apply_rule, block_codes, evolve,
                   validate_grids)
 from ..nn.layers import Network
-from .models import CODE_BATCH, block_form, blockwise, code_forward
+from .models import (ALIGNED_PARTITION, CODE_BATCH, block_form, blockwise,
+                     code_forward)
 
 # The identity grid map's table: row c holds the cells of block code c.
 IDENTITY_TABLE = CODE_BATCH.reshape(16, 4)
@@ -23,25 +24,23 @@ class TrainingDiverged(RuntimeError):
 class BlockTable(NamedTuple):
     """A grid map as one table read on every block of a partition: its
     output on grids is row c of `table` (cells TL, TR, BL, BR) on each block
-    of code c of `lead`'s partition (see models.blockwise) of
-    `frame(grids)`, the binary grids the table reads."""
+    of code c of `partition`, a (Phase, EdgeMode), of `frame(grids)`, the
+    binary grids the table reads.  `rule` codes the thresholded rows."""
 
     frame: Callable[[np.ndarray], np.ndarray]
-    lead: object
+    partition: tuple
     table: np.ndarray
+    rule: np.ndarray
 
     def predict(self, grids: np.ndarray) -> np.ndarray:
         """The map's (count, n, n) float output on (count, n, n) grids."""
-        return self._read(self.table, grids)
+        def lookup(rows):
+            return self.table[block_codes(rows.reshape(-1, 2, 2)).ravel()]
+        return blockwise(self.partition, lookup, self.frame(grids))
 
     def binary(self, grids: np.ndarray) -> np.ndarray:
         """predict thresholded at 0.5, as uint8."""
-        return self._read((self.table >= 0.5).astype(np.uint8), grids)
-
-    def _read(self, table, grids):
-        def lookup(rows):
-            return table[block_codes(rows.reshape(-1, 2, 2)).ravel()]
-        return blockwise(self.lead, lookup, self.frame(grids))
+        return apply_rule(self.frame(grids), *self.partition, self.rule)
 
 
 def tabulate(model) -> BlockTable:
@@ -56,24 +55,26 @@ def tabulate(model) -> BlockTable:
     called once per stack and is the identity table on its own output.
     """
     if isinstance(model, Network):
-        lead, core = block_form(model)
+        partition, core = block_form(model)
         table = code_forward(core)[0].reshape(16, 4)
         if not np.isfinite(table).all():
             raise TrainingDiverged("non-finite prediction")
-        return BlockTable(validate_grids, lead, table)
+        frame = validate_grids
+    else:
+        partition, table = ALIGNED_PARTITION, IDENTITY_TABLE
 
-    def frame(grids):
-        out = validate_grids(model(grids))
-        if out.shape != grids.shape:
-            raise ValueError(f"grid map returned shape {out.shape} "
-                             f"for input shape {grids.shape}")
-        return out
-    return BlockTable(frame, None, IDENTITY_TABLE)
+        def frame(grids):
+            out = validate_grids(model(grids))
+            if out.shape != grids.shape:
+                raise ValueError(f"grid map returned shape {out.shape} "
+                                 f"for input shape {grids.shape}")
+            return out
+    rule = block_codes((table >= 0.5).reshape(16, 2, 2)).ravel()
+    return BlockTable(frame, partition, table, rule)
 
 
 def predict_grids(model, grids: np.ndarray) -> np.ndarray:
-    """A grid map's (count, n, n) float output on (count, n, n) grids (see
-    tabulate)."""
+    """A grid map's float output on (count, n, n) grids (see tabulate)."""
     return tabulate(model).predict(grids)
 
 
@@ -82,25 +83,27 @@ def apply_model_binary(model, grids: np.ndarray) -> np.ndarray:
     return tabulate(model).binary(grids)
 
 
-def rollout(model_aligned, model_offset, grid, steps: int):
-    """Alternate the two models from a start grid for `steps` half-steps.
+def rollout(model_aligned, model_offset, grids, steps: int):
+    """Alternate the two models from a grid or a (..., n, n) stack of start
+    grids for `steps` half-steps; each model is tabulated once per call.
 
-    Each model is tabulated once per call.  Each frame is compared with the
-    exact torus trajectory from the same start; returns (trajectory,
-    divergence_step) where divergence_step is the 1-based index of the
-    first mismatching frame, or steps+1 if the whole rollout is exact.
+    Each frame is compared with the exact torus trajectory from the same
+    start; returns (trajectory, divergence): steps+1 frames shaped like
+    `grids`, and the 1-based index of the first mismatching frame, or
+    steps+1 if the whole rollout is exact, per start grid (an int for one).
     """
-    g = validate_grid(grid)
+    g = validate_grids(grids)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     maps = (tabulate(model_aligned), tabulate(model_offset))
-    exact = evolve(g, steps, EdgeMode.TORUS_WRAP, Direction.FORWARD)
-    trajectory = [g]
-    divergence = steps + 1
-    current = g
+    stack = g.reshape(-1, *g.shape[-2:])
+    exact = evolve(stack, steps, EdgeMode.TORUS_WRAP, Direction.FORWARD)
+    frames = [stack]
     for k in range(steps):
-        current = maps[k % 2].binary(current[None])[0]
-        trajectory.append(current)
-        if divergence == steps + 1 and not np.array_equal(current, exact[k + 1]):
-            divergence = k + 1
-    return trajectory, divergence
+        frames.append(maps[k % 2].binary(frames[-1]))
+    # wrong[k, i]: frame k of rollout i differs from the exact one.
+    wrong = np.array([(f != e).any((1, 2)) for f, e in zip(frames, exact)])
+    divergence = np.where(wrong.any(axis=0), wrong.argmax(axis=0), steps + 1)
+    trajectory = [frame.reshape(g.shape) for frame in frames]
+    divergence = divergence.reshape(g.shape[:-2])
+    return trajectory, divergence if g.ndim > 2 else int(divergence)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ca import ALL_BLOCKS, block_codes, validate_grids
+from ..ca import ALL_BLOCKS, block_codes, to_frame, validate_grids
 from ..nn.layers import Network
 from ..nn.loss import counted_bce_loss
 from ..nn.optim import NetworkOptimizer, OptimizerConfig
@@ -95,12 +95,12 @@ def evaluate_tensors(model, grids: np.ndarray,
     """
     if grids.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
-    frame, lead, table = tabulate(model)
+    frame, partition, table, _ = tabulate(model)
     x = frame(grids)
     t = validate_grids(targets)
     if t.shape != x.shape:
         raise ValueError(f"target shape {t.shape} != grid shape {x.shape}")
-    keys = block_keys(lead, x, t)
+    keys = block_keys(partition, x, t)
     counts = key_counts(keys)
     loss, _ = counted_bce_loss(table, counts[..., 1], counts[..., 0], t.size)
     hit = table >= 0.5
@@ -133,21 +133,19 @@ def _wrong_blocks(hit: np.ndarray) -> np.ndarray:
     return wrong.any(axis=-1).ravel()
 
 
-def block_keys(lead, inputs, targets) -> np.ndarray:
-    """(N, blocks) 12-bit keys of the blocks of (N, n, n) binary input and
-    target grid stacks: input code << 8 | target code << 4 | mask code.
+def block_keys(partition, inputs, targets) -> np.ndarray:
+    """(N, blocks) 12-bit keys of the blocks of `partition` of (N, n, n)
+    binary input and target grid stacks: input code << 8 | target code << 4
+    | mask code.
 
-    The grids are taken into the core's frame by the network's leading
-    geometry layer `lead` (or left as they are for None).  A ones mask goes
-    along, so the mask code marks the cells that the trailing crop keeps.
+    A ones mask goes along into the partition's frame (see ca.to_frame), so
+    the mask code marks the cells that ca.from_frame keeps.
     """
     frame = np.stack([inputs, targets, np.ones_like(inputs)], axis=1,
                      dtype=np.uint8)
     if frame.max() > 1:
         raise ValueError("grids must be binary")
-    if lead is not None:
-        frame, _ = lead.forward(frame)
-    codes = block_codes(frame).astype(np.uint16)
+    codes = block_codes(to_frame(frame, *partition)).astype(np.uint16)
     keys = codes[:, 0] << 8 | codes[:, 1] << 4 | codes[:, 2]
     return keys.reshape(len(keys), -1)
 
@@ -160,7 +158,7 @@ def key_counts(keys: np.ndarray) -> np.ndarray:
     return (blocks @ _SCORES).reshape(16, 4, 2)
 
 
-def block_backward(lead, core: Network, inputs, targets) -> float:
+def block_backward(partition, core: Network, inputs, targets) -> float:
     """BCE of a network in block form (see models.block_form) on (N, n, n)
     input and target grids, backpropagated through its core.
 
@@ -168,7 +166,7 @@ def block_backward(lead, core: Network, inputs, targets) -> float:
     layers are left holding the parameter gradients that Network.backward
     of that loss would leave in them.
     """
-    hist = key_counts(block_keys(lead, inputs, targets))
+    hist = key_counts(block_keys(partition, inputs, targets))
     probs, caches = code_forward(core)
     loss, grad = counted_bce_loss(probs.reshape(16, 4), hist[..., 1],
                                   hist[..., 0], np.size(inputs))
@@ -200,7 +198,7 @@ def fit(net: Network, pairs, n_train: int, n_test: int, config: TrainConfig,
     are held out and scored by evaluate_tensors after each epoch's last
     optimizer step.
     """
-    lead, core = block_form(net)
+    partition, core = block_form(net)
     history = TrainHistory()
     optimizer = NetworkOptimizer(config.optimizer, net)
     held_out = np.arange(n_train, n_train + n_test)
@@ -209,7 +207,7 @@ def fit(net: Network, pairs, n_train: int, n_test: int, config: TrainConfig,
         loss_sum = 0.0
         for lo in range(0, n_train, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            loss = block_backward(lead, core, *pairs(idx))
+            loss = block_backward(partition, core, *pairs(idx))
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             optimizer.step()

@@ -2,13 +2,13 @@
 
 Every rule-learning network maps each 2x2 block of its partition on its own
 (see models.block_form), so on an n x n grid it is P^T (I_blocks (x) f) P:
-P is the network's leading geometry layer (or the identity) followed by
-cutting the frame into blocks, and f is its core on one 2x2 block.  The
-core's layers are convolutions, transposed convolutions and ReLUs, so f
-lowers to a short list of (matrix, bias) stages with ReLU markers in
-between, 4 -> 16 -> 32 -> 4 whatever n is.  The final sigmoid is monotone
-and is replaced by thresholding the logits at zero; the trailing crop or
-unshift then acts on logits, which commutes with the elementwise sigmoid.
+P is ca.to_frame of its partition followed by cutting the frame into
+blocks, and f is its core on one 2x2 block.  The core's layers are
+convolutions, transposed convolutions and ReLUs, so f lowers to a short
+list of (matrix, bias) stages with ReLU markers in between, 4 -> 16 -> 32
+-> 4 whatever n is.  The final sigmoid is monotone and is replaced by
+thresholding the logits at zero; P^T's unshift or crop then acts on
+logits, which commutes with the elementwise sigmoid.
 
 Chaining two lowered half-step networks needs binary intermediate values.
 A clamp built from two extra affine+ReLU stages (u = relu(a*z), then

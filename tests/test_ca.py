@@ -44,6 +44,45 @@ def stack_with_one_cell_set(value):
     return grids
 
 
+def all_4x4_grids():
+    """The 65536 binary 4x4 grids; bit k of index c is cell k of grid c."""
+    codes = np.arange(2 ** 16)[:, None]
+    return ((codes >> np.arange(16)) & 1).astype(np.uint8).reshape(-1, 4, 4)
+
+
+# The three partitions a step can act on.
+PARTITIONS = [(Phase.ALIGNED, EdgeMode.TORUS_WRAP),
+              (Phase.OFFSET, EdgeMode.TORUS_WRAP),
+              (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP)]
+
+
+def reference_step(grids, phase, edge, direction):
+    """The rule restated on cell arrays, framed by hand.
+
+    Count 2 keeps a block and other counts flip it; forward, count 3 also
+    rotates it 180 degrees, and backward count 1 does (the image of a
+    count-3 block).  The offset partition is made aligned by a (-1, -1)
+    torus roll or by np.pad, and put back after.
+    """
+    g = grids
+    if phase is Phase.OFFSET:
+        g = np.roll(g, (-1, -1), axis=(-2, -1)) \
+            if edge is EdgeMode.TORUS_WRAP \
+            else np.pad(g, [(0, 0)] * (g.ndim - 2) + [(1, 1), (1, 1)])
+    m = g.shape[-1]
+    # Axes (..., block row, row in block, block column, column in block).
+    q = g.reshape(*g.shape[:-2], m // 2, 2, m // 2, 2)
+    count = q.sum(axis=(-3, -1), keepdims=True)
+    out = np.where(count == 2, q, 1 - q)
+    rotated = 3 if direction is Direction.FORWARD else 1
+    out = np.where(count == rotated, out[..., ::-1, :, ::-1], out)
+    out = out.reshape(g.shape).astype(np.uint8)
+    if phase is Phase.OFFSET:
+        out = np.roll(out, (1, 1), axis=(-2, -1)) \
+            if edge is EdgeMode.TORUS_WRAP else out[..., 1:-1, 1:-1]
+    return out
+
+
 class TestBlockTransform:
     def test_matches_bruteforce_oracle_on_all_codes(self):
         for code in range(16):
@@ -122,7 +161,58 @@ class TestBlockCodes:
             ca.block_codes(np.zeros((2, 3), dtype=np.uint8))
 
 
+class TestFrames:
+    @pytest.mark.parametrize("phase,edge", PARTITIONS)
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_from_frame_undoes_to_frame_on_every_4x4_grid(self, phase, edge,
+                                                          dtype):
+        grids = all_4x4_grids().astype(dtype)
+        frame = ca.to_frame(grids, phase, edge)
+        back = ca.from_frame(frame, phase, edge)
+        assert frame.dtype == back.dtype == dtype
+        assert np.array_equal(back, grids)
+
+    @pytest.mark.parametrize("edge", list(EdgeMode))
+    def test_offset_frame_moves_cells_by_plus_one(self, edge):
+        grids = ca.random_grids(5, 6, 0.5, 3)
+        frame = ca.to_frame(grids, Phase.OFFSET, edge)
+        # The offset block at rows and columns 1..2 lands at 2..3.
+        assert np.array_equal(frame[:, 2:4, 2:4], grids[:, 1:3, 1:3])
+        if edge is EdgeMode.TORUS_WRAP:
+            assert np.array_equal(frame[:, 0, 0], grids[:, -1, -1])
+        else:
+            assert frame.shape == (5, 8, 8)
+            ring = np.ones((8, 8), dtype=bool)
+            ring[1:-1, 1:-1] = False
+            assert not frame[:, ring].any()
+
+    def test_aligned_frame_is_the_grid(self):
+        grids = ca.random_grids(3, 4, 0.5, 5)
+        assert ca.to_frame(grids, Phase.ALIGNED, EdgeMode.ZERO_PAD_CROP) \
+            is grids
+
+    @pytest.mark.parametrize("phase,edge", PARTITIONS)
+    def test_apply_rule_reads_its_table(self, phase, edge):
+        grids = ca.random_grids(20, 8, 0.5, 9)
+        identity = np.arange(16, dtype=np.uint8)
+        assert np.array_equal(ca.apply_rule(grids, phase, edge, identity),
+                              grids)
+        assert np.array_equal(
+            ca.apply_rule(grids, phase, edge, ca.BLOCK_TABLE),
+            ca.step(grids, phase, edge))
+
+
 class TestStep:
+    @pytest.mark.parametrize("phase,edge,direction", STEP_CASES)
+    @pytest.mark.parametrize("grids", [
+        all_4x4_grids, lambda: ca.random_grids(200, 16, 0.5, 2024)],
+        ids=["every-4x4", "seeded-16x16"])
+    def test_matches_reference_framing(self, phase, edge, direction, grids):
+        x = grids()
+        got = step_fn(direction)(x, phase, edge)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, reference_step(x, phase, edge, direction))
+
     def test_all_dead_flips_to_all_live(self):
         dead = np.zeros((4, 4), dtype=np.uint8)
         assert (ca.step(dead) == 1).all()
@@ -421,3 +511,10 @@ class TestGridText:
         path = tmp_path / "grid.txt"
         ca.write_grid(path, g)
         assert np.array_equal(ca.read_grid(path), g)
+
+    @pytest.mark.parametrize("read", [ca.read_grid, ca.read_trajectory])
+    def test_non_ascii_file_is_a_format_error(self, tmp_path, read):
+        path = tmp_path / "grid.txt"
+        path.write_bytes(b"2\n01\n00\n\n2\n0\xe9\n00\n")
+        with pytest.raises(GridFormatError, match="not ASCII"):
+            read(path)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from blockca import ca
 from blockca.ca import EdgeMode, GridFormatError, Phase
 from blockca.cli import _parse_random_spec, main
-from blockca.learn import build_model
+from blockca.learn import build_model, rollout
 from blockca.nn import (
     CheckpointFormatError,
     ConvLayer,
@@ -102,6 +102,30 @@ class TestSimulate:
         bad = tmp_path / "bad.txt"
         bad.write_text("2\n01\n")
         assert run("simulate", "--grid", bad, "--steps", "1") == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "invert"])
+    def test_non_ascii_grid_file_exits_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("2\n01\n0\uff10\n".encode())  # a fullwidth zero
+        assert run(command, "--grid", bad, "--steps", "1") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad} is not ASCII text"]
+
+    @pytest.mark.parametrize("command", ["simulate", "invert"])
+    def test_directory_as_grid_exits_2(self, tmp_path, capsys, command):
+        assert run(command, "--grid", tmp_path, "--steps", "1") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("header", ["+2", "0_2", "\uff12", "-2", "2.0",
+                                        "9" * 5000])
+    def test_side_length_must_be_ascii_digits(self, tmp_path, header):
+        text = f"{header}\n01\n00\n"
+        with pytest.raises(GridFormatError, match="side length"):
+            ca.parse_grid(text)
+        path = tmp_path / "grid.txt"
+        path.write_bytes(text.encode())
+        assert run("simulate", "--grid", path, "--steps", "1") == 2
 
     def test_invalid_configs_exit_3(self):
         assert run("simulate", "--random", "5,0.5,1", "--steps", "1") == 3
@@ -290,6 +314,29 @@ class TestTrainEvalRollout:
         text = report.read_text()
         assert "steps=4" in text and "trials=10" in text
         assert "mean_divergence_step=" in text
+        # The same report from rollouts run grid by grid.
+        nets = load_network(ckpt_a), load_network(ckpt_o)
+        rng = np.random.default_rng(41)
+        divergences = [rollout(*nets, ca.random_grid(8, 0.5, rng), 4)[1]
+                       for _ in range(10)]
+        counts = {d: divergences.count(d) for d in sorted(set(divergences))}
+        assert text.splitlines() == [
+            "steps=4", "trials=10",
+            f"mean_divergence_step={np.mean(divergences):.9g}",
+            f"exact_rollouts={counts.get(5, 0)}",
+            *[f"divergence_at_{d}={c}" for d, c in counts.items()]]
+
+    def test_directory_as_checkpoint_exits_2(self, trained, tmp_path,
+                                             capsys):
+        _, _, ckpt_a, ckpt_o = trained
+        for argv in (["eval", "--checkpoint", tmp_path],
+                     ["rollout", "--checkpoint-aligned", tmp_path,
+                      "--checkpoint-offset", ckpt_o],
+                     ["rollout", "--checkpoint-aligned", ckpt_a,
+                      "--checkpoint-offset", tmp_path]):
+            assert run(*argv, "--n", 8, "--count", 10) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_rollout_of_no_grids_exits_3(self, trained, capsys, count):

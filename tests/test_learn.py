@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from blockca.ca import (Direction, EdgeMode, Phase, evolve, random_grid,
-                        random_grids, step)
+from blockca.ca import (BLOCK_TABLE, Direction, EdgeMode, Phase, apply_rule,
+                        evolve, random_grid, random_grids, step, to_frame,
+                        from_frame)
 from blockca.learn import (
     TrainConfig,
     apply_model_binary,
@@ -24,7 +25,7 @@ from blockca.learn import (
     verify_commuting_solutions,
 )
 from blockca.learn.data import verify_dataset
-from blockca.learn.rollout import predict_grids
+from blockca.learn.rollout import predict_grids, tabulate
 from blockca.learn.train import fit
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
                         ReLULayer, SigmoidLayer, WrapShiftLayer,
@@ -115,17 +116,23 @@ def block_core(rng, middle=()):
 
 
 class TestBlockForm:
-    @pytest.mark.parametrize("phase,edge,lead", [
-        (Phase.ALIGNED, EdgeMode.TORUS_WRAP, type(None)),
-        (Phase.OFFSET, EdgeMode.TORUS_WRAP, WrapShiftLayer),
-        (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP, Pad1Layer),
+    @pytest.mark.parametrize("phase,edge,partition", [
+        (Phase.ALIGNED, EdgeMode.TORUS_WRAP,
+         (Phase.ALIGNED, EdgeMode.TORUS_WRAP)),
+        # An aligned network has no edge layers: its edge mode is moot.
+        (Phase.ALIGNED, EdgeMode.ZERO_PAD_CROP,
+         (Phase.ALIGNED, EdgeMode.TORUS_WRAP)),
+        (Phase.OFFSET, EdgeMode.TORUS_WRAP,
+         (Phase.OFFSET, EdgeMode.TORUS_WRAP)),
+        (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP,
+         (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP)),
     ])
     @pytest.mark.parametrize("bypass", [False, True])
-    def test_every_built_model_splits(self, phase, edge, lead, bypass):
+    def test_every_built_model_splits(self, phase, edge, partition, bypass):
         net = build_model(phase, edge, bypass_endpoints=bypass, seed=1)
-        first, core = block_form(net)
-        assert isinstance(first, lead)
-        inner = net.layers if first is None else net.layers[1:-1]
+        got, core = block_form(net)
+        assert got == partition
+        inner = net.layers if phase is Phase.ALIGNED else net.layers[1:-1]
         assert all(a is b for a, b in zip(core.layers, inner))
         assert len(core.layers) == len(inner)
 
@@ -171,6 +178,19 @@ class TestBlockForm:
         assert steps == []
         assert all(np.array_equal(a, p)
                    for a, (p, _) in zip(before, net.parameters()))
+
+
+    @pytest.mark.parametrize("edge", list(EdgeMode))
+    def test_geometry_layers_build_the_partition_frame(self, edge):
+        """The partition block_form reports is the one whose ca frame the
+        network's own leading and trailing layers build and undo."""
+        net = build_model(Phase.OFFSET, edge, seed=1)
+        partition, _ = block_form(net)
+        x = random_grids(4, 8, 0.5, 5).astype(np.float64)
+        frame = net.layers[0].forward(x[:, None])[0]
+        assert np.array_equal(frame[:, 0], to_frame(x, *partition))
+        assert np.array_equal(net.layers[-1].forward(frame)[0][:, 0],
+                              from_frame(frame[:, 0], *partition))
 
 
 class TestTrain:
@@ -278,6 +298,42 @@ class TestRollout:
         with pytest.raises(ValueError):
             rollout(lambda g: g, lambda g: g, random_grid(4, 0.5, 0), 0)
 
+    @pytest.mark.parametrize("pair", [
+        # Each exact but on one block code, so rollouts part at many steps.
+        lambda: (rule_network(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
+                              one_code_wrong(1)),
+                 rule_network(Phase.OFFSET, EdgeMode.TORUS_WRAP,
+                              one_code_wrong(14))),
+        # The offset step only on grids with more than half their cells live.
+        lambda: (lambda g: step(g, Phase.ALIGNED),
+                 lambda g: np.where(g.sum(axis=(1, 2))[:, None, None] > 8,
+                                    step(g, Phase.OFFSET), g)),
+    ], ids=["networks", "callables"])
+    def test_stack_equals_rollouts_grid_by_grid(self, pair):
+        aligned, offset = pair()
+        grids = random_grids(60, 4, 0.5, 83)
+        trajectory, divergence = rollout(aligned, offset, grids, steps=6)
+        assert len(trajectory) == 7 and divergence.shape == (60,)
+        assert all(frame.shape == grids.shape for frame in trajectory)
+        for i, g in enumerate(grids):
+            frames, at = rollout(aligned, offset, g, steps=6)
+            assert type(at) is int and at == divergence[i]
+            assert all(np.array_equal(a, b[i])
+                       for a, b in zip(frames, trajectory, strict=True))
+        # Several outcomes, the exact one among them.
+        assert len(set(divergence.tolist())) >= 3 and divergence.max() == 7
+
+    def test_stack_of_stacks_keeps_its_shape(self):
+        grids = random_grids(6, 4, 0.5, 89).reshape(2, 3, 4, 4)
+        trajectory, divergence = rollout(lambda g: step(g, Phase.ALIGNED),
+                                         lambda g: g, grids, steps=2)
+        assert [f.shape for f in trajectory] == [grids.shape] * 3
+        flat, want = rollout(lambda g: step(g, Phase.ALIGNED), lambda g: g,
+                             grids.reshape(6, 4, 4), steps=2)
+        assert all(np.array_equal(a.reshape(6, 4, 4), b)
+                   for a, b in zip(trajectory, flat))
+        assert np.array_equal(divergence, want.reshape(2, 3))
+
 
 VARIANTS = [(phase, edge, bypass)
             for phase, edge in [(Phase.ALIGNED, EdgeMode.TORUS_WRAP),
@@ -303,6 +359,57 @@ def centred_model(phase, edge, bypass, seed):
         random_grids(20, 8, 0.5, 0)[:, None].astype(np.float64)))
     head.kernel.bias[:] -= np.log(p / (1.0 - p))
     return net
+
+
+def one_code_wrong(code):
+    """BLOCK_TABLE with `code` mapped to itself instead."""
+    table = BLOCK_TABLE.copy()
+    table[code] = code
+    assert table[code] != BLOCK_TABLE[code]
+    return table
+
+
+def rule_network(phase, edge, table):
+    """A build_model network set by hand to the block rule `table`: encode
+    channel c fires on block code c alone, decode writes the cells of
+    table[c], and the head turns them into logits of +-10."""
+    net = build_model(phase, edge, seed=0)
+    encode, decode, head = [layer for layer in net.layers
+                            if isinstance(layer, (ConvLayer, DeconvLayer))]
+    bits = np.array([[(c >> k) & 1 for k in range(4)] for c in range(16)],
+                    dtype=np.float64)  # bits[c, 2 * row + column]
+    encode.kernel.weights[:] = (2 * bits - 1).reshape(16, 1, 2, 2)
+    encode.kernel.bias[:] = 1 - bits.sum(axis=1)
+    decode.kernel.weights[:] = 0.0
+    decode.kernel.weights[:, 0] = bits[table].reshape(16, 2, 2)
+    decode.kernel.bias[:] = 0.0
+    head.kernel.weights[:] = 0.0
+    head.kernel.weights[0, 0] = 20.0
+    head.kernel.bias[:] = -10.0
+    return net
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("phase,edge", [
+        (Phase.ALIGNED, EdgeMode.TORUS_WRAP), (Phase.OFFSET, EdgeMode.TORUS_WRAP),
+        (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP)])
+    @pytest.mark.parametrize("table", [BLOCK_TABLE, one_code_wrong(7)],
+                             ids=["exact", "one-wrong"])
+    def test_binary_map_is_the_rule_of_its_table(self, phase, edge, table):
+        net = rule_network(phase, edge, table)
+        mapped = tabulate(net)
+        assert mapped.partition == (phase, edge)
+        assert np.array_equal(mapped.rule, table)
+        x = all_4x4_grids()
+        dense = net.predict(x[:, None].astype(np.float64))[:, 0]
+        want = apply_rule(x, phase, edge, table)
+        assert np.array_equal((dense >= 0.5).astype(np.uint8), want)
+        assert np.array_equal(apply_model_binary(net, x), want)
+
+    def test_callables_get_the_identity_rule(self):
+        mapped = tabulate(lambda g: g)
+        assert mapped.partition == (Phase.ALIGNED, EdgeMode.TORUS_WRAP)
+        assert np.array_equal(mapped.rule, np.arange(16))
 
 
 class TestBlockPrediction:

@@ -71,8 +71,9 @@ def test_block_stages_expand_to_whole_grid_chain(phase, edge, bypass, n):
     the zigzag (block-major) permutation, kron(I, M) per affine stage with
     tiled biases, ReLU, then the inverse zigzag and the trailing map."""
     net = build_model(phase, edge, bypass_endpoints=bypass, seed=37)
-    lead, _ = block_form(net)
-    trail = net.layers[-1] if lead is not None else None
+    # P and P^T are the network's own geometry layers, not ca's frames.
+    lead, trail = (net.layers[0], net.layers[-1]) \
+        if phase is Phase.OFFSET else (None, None)
     m = n + 2 if isinstance(lead, Pad1Layer) else n
     zigzag = np.stack([vectorize_zigzag(e.reshape(m, m))
                        for e in np.eye(m * m, dtype=np.uint8)], axis=1)
@@ -90,7 +91,8 @@ def test_block_stages_expand_to_whole_grid_chain(phase, edge, bypass, n):
     assert {s[0] for s in chain} == {"affine", "relu"}
     x = _grids(n, 6, 41).astype(np.float64)
     dense = witness_logits(chain, x.reshape(6, -1))
-    block = blockwise(lead, lambda rows: witness_logits(stages, rows),
+    block = blockwise(block_form(net)[0],
+                      lambda rows: witness_logits(stages, rows),
                       x).reshape(6, -1)
     assert np.abs(dense - block).max() <= 1e-10
 

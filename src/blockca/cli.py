@@ -336,6 +336,8 @@ def cmd_commute(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.batch < 1:
+        raise ValueError(f"--batch must be >= 1, got {args.batch}")
     phase, edge = Phase(args.phase), EdgeMode(args.edge)
     net = build_model(phase, edge, bypass_endpoints=args.bypass,
                       seed=args.seed)

@@ -104,17 +104,3 @@ def inverse(rows: list[int], dim: int) -> list[int]:
 
 def is_invertible(rows: list[int], dim: int) -> bool:
     return rank(rows, dim) == dim
-
-
-def is_permutation(rows: list[int], dim: int) -> bool:
-    """Exactly one 1 per row and per column."""
-    if len(rows) != dim:
-        return False
-    col_union = 0
-    for row in rows:
-        if row.bit_count() != 1:
-            return False
-        if col_union & row:
-            return False
-        col_union |= row
-    return col_union == (1 << dim) - 1

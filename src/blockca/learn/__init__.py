@@ -20,7 +20,6 @@ from .rollout import rollout, apply_model_binary
 from .commute import (
     exact_full_step,
     exact_phase_step,
-    commute_loss,
     commute_experiment,
     verify_commuting_solutions,
     CommuteReport,
@@ -39,7 +38,7 @@ __all__ = [
     "train", "evaluate", "evaluate_tensors", "DEFAULT_GRID_SIZE",
     "DEFAULT_TRAIN_COUNT", "DEFAULT_TEST_COUNT", "DEFAULT_DENSITY",
     "rollout", "apply_model_binary", "exact_full_step", "exact_phase_step",
-    "commute_loss", "commute_experiment", "verify_commuting_solutions",
-    "CommuteReport", "CandidateResult", "lower_network", "witness_logits",
+    "commute_experiment", "verify_commuting_solutions", "CommuteReport",
+    "CandidateResult", "lower_network", "witness_logits",
     "single_step_witness", "two_step_witness",
 ]

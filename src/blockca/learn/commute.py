@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ca import EdgeMode, Phase, phase_at, random_grids, step
-from ..nn.loss import bce_loss
 from .models import build_model
-from .rollout import apply_model_binary, predict_grids, tabulate
+from .rollout import apply_model_binary, tabulate
 from .train import TrainConfig, fit, split_holdout
 
 
@@ -37,18 +36,9 @@ def exact_full_step(grids: np.ndarray) -> np.ndarray:
     return step(step(grids, phase_at(0)), phase_at(1))
 
 
-def commute_loss(candidate, evolution, grids: np.ndarray) -> float:
-    """BCE between N(B(x)) and the frozen label B(threshold(N(x)))."""
-    n_of_b = predict_grids(candidate, evolution(grids))
-    b_of_n = evolution(apply_model_binary(candidate, grids))
-    loss, _ = bce_loss(n_of_b[:, None], b_of_n[:, None].astype(np.float64))
-    return loss
-
-
 def commute_experiment(evolution, init_seed: int, config: TrainConfig,
                        n: int = 16, count: int = 5000,
-                       holdout_fraction: float = 0.1,
-                       density: float = 0.5):
+                       holdout_fraction: float = 0.1):
     """Train a fresh network toward commutativity with a frozen evolution.
 
     Returns (history, network).  The per-epoch metrics measure how well the
@@ -56,7 +46,7 @@ def commute_experiment(evolution, init_seed: int, config: TrainConfig,
     held-out pool of grids.
     """
     rng = np.random.default_rng(config.seed)
-    grids = random_grids(count, n, density, rng)
+    grids = random_grids(count, n, 0.5, rng)
     n_test = split_holdout(count, holdout_fraction)
     net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
                       bypass_endpoints=config.bypass_endpoints, seed=init_seed)
@@ -103,21 +93,17 @@ class CommuteReport:
 
 
 def verify_commuting_solutions(candidates, trials: int, seed: int,
-                               evolution=None, n: int = 16,
-                               density: float = 0.5) -> CommuteReport:
+                               evolution, n: int = 16) -> CommuteReport:
     """Check N(B(x)) == B(N(x)) exactly on random grids for each candidate.
 
     `candidates` is a list of (name, map) pairs where a map is a Network or
-    a callable grid map on (count, n, n) stacks (see predict_grids).
-    `evolution` defaults to the exact aligned half-step.  Distinctness
-    between commuting candidates is decided extensionally from their
-    outputs on the sampled grids.
+    a callable grid map on (count, n, n) stacks (see tabulate); `evolution`
+    is a callable grid map.  Distinctness between commuting candidates is
+    decided extensionally from their outputs on the sampled grids.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if evolution is None:
-        evolution = exact_phase_step(Phase.ALIGNED)
-    grids = random_grids(trials, n, density, seed)
+    grids = random_grids(trials, n, 0.5, seed)
 
     report = CommuteReport()
     outputs = {}

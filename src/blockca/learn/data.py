@@ -32,10 +32,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def pairs(self):
-        return list(zip(self.inputs, self.targets))
-
 
 def rule_map(direction: Direction, phase: Phase, edge: EdgeMode):
     """The exact single half-step map this dataset's targets follow.

@@ -10,8 +10,7 @@ import numpy as np
 from ..ca import (Direction, EdgeMode, apply_rule, block_codes, evolve,
                   validate_grids)
 from ..nn.layers import Network
-from .models import (ALIGNED_PARTITION, CODE_BATCH, block_form, blockwise,
-                     code_forward)
+from .models import ALIGNED_PARTITION, CODE_BATCH, block_form, code_forward
 
 # The identity grid map's table: row c holds the cells of block code c.
 IDENTITY_TABLE = CODE_BATCH.reshape(16, 4)
@@ -32,14 +31,9 @@ class BlockTable(NamedTuple):
     table: np.ndarray
     rule: np.ndarray
 
-    def predict(self, grids: np.ndarray) -> np.ndarray:
-        """The map's (count, n, n) float output on (count, n, n) grids."""
-        def lookup(rows):
-            return self.table[block_codes(rows.reshape(-1, 2, 2)).ravel()]
-        return blockwise(self.partition, lookup, self.frame(grids))
-
     def binary(self, grids: np.ndarray) -> np.ndarray:
-        """predict thresholded at 0.5, as uint8."""
+        """The map's output on (count, n, n) grids, thresholded at 0.5, as
+        uint8."""
         return apply_rule(self.frame(grids), *self.partition, self.rule)
 
 
@@ -71,11 +65,6 @@ def tabulate(model) -> BlockTable:
             return out
     rule = block_codes((table >= 0.5).reshape(16, 2, 2)).ravel()
     return BlockTable(frame, partition, table, rule)
-
-
-def predict_grids(model, grids: np.ndarray) -> np.ndarray:
-    """A grid map's float output on (count, n, n) grids (see tabulate)."""
-    return tabulate(model).predict(grids)
 
 
 def apply_model_binary(model, grids: np.ndarray) -> np.ndarray:

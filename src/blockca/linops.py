@@ -57,10 +57,6 @@ class AffineOperator:
             raise ValueError("row count must equal dim")
 
 
-def identity_operator(dim: int) -> AffineOperator:
-    return AffineOperator(dim, tuple(gf2.identity(dim)), 0)
-
-
 def apply_operator(op: AffineOperator, vec) -> np.ndarray:
     v = np.asarray(vec, dtype=np.uint8)
     if v.shape != (op.dim,):
@@ -77,13 +73,6 @@ def compose(second: AffineOperator, first: AffineOperator) -> AffineOperator:
     rows = gf2.matmul(list(second.rows), list(first.rows))
     bias = gf2.matvec(list(second.rows), first.bias) ^ second.bias
     return AffineOperator(second.dim, tuple(rows), bias)
-
-
-def invert_operator(op: AffineOperator) -> AffineOperator:
-    """Inverse map: x = M^-1 y XOR M^-1 b."""
-    inv_rows = gf2.inverse(list(op.rows), op.dim)
-    return AffineOperator(op.dim, tuple(inv_rows),
-                          gf2.matvec(inv_rows, op.bias))
 
 
 def operator_is_invertible(op: AffineOperator) -> bool:
@@ -175,7 +164,9 @@ def parse_operator(text: str) -> AffineOperator:
     if not lines:
         raise OperatorFormatError("empty operator text")
     head = lines[0]
-    dim = int(head) if head.isascii() and head.isdigit() else 0
+    # int() refuses more than 4300 digits; 18 digits fit any real dim.
+    dim = (int(head) if head.isascii() and head.isdigit() and len(head) <= 18
+           else 0)
     if dim < 1:
         raise OperatorFormatError(f"first line must be a positive dim, "
                                   f"got {head!r}")

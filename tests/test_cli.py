@@ -445,6 +445,12 @@ class TestCommuteAndGradcheck:
         assert run("gradcheck", "--n", "4", "--phase", "offset",
                    "--edge", "pad", "--bypass", "--seed", "6") == 0
 
+    @pytest.mark.parametrize("batch", ["0", "-2"])
+    def test_gradcheck_batch_validated(self, capsys, batch):
+        assert run("gradcheck", "--n", "4", "--batch", batch) == 3
+        assert capsys.readouterr().err == \
+            f"error: --batch must be >= 1, got {batch}\n"
+
     def test_gradcheck_without_a_margin_input_exits_4(self, capsys):
         assert run("gradcheck", "--n", "4", "--batch", "3", "--phase",
                    "offset", "--edge", "pad") == 4

@@ -125,9 +125,3 @@ def test_inverse_of_dense_32_by_32_matrices():
         assert gf2.matmul(inv, rows) == gf2.identity(32)
         assert gf2.matmul(rows, inv) == gf2.identity(32)
         inverted += 1
-
-
-def test_permutation_detection():
-    assert gf2.is_permutation([0b010, 0b100, 0b001], 3)
-    assert not gf2.is_permutation([0b010, 0b010, 0b001], 3)
-    assert not gf2.is_permutation([0b011, 0b100, 0b001], 3)

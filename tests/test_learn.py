@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from blockca.ca import (BLOCK_TABLE, Direction, EdgeMode, Phase, apply_rule,
-                        evolve, random_grid, random_grids, step, to_frame,
-                        from_frame)
+                        block_codes, evolve, random_grid, random_grids, step,
+                        to_frame, from_frame)
 from blockca.learn import (
     TrainConfig,
     apply_model_binary,
     block_form,
     build_model,
     commute_experiment,
-    commute_loss,
     evaluate,
     evaluate_tensors,
     exact_phase_step,
@@ -25,7 +24,8 @@ from blockca.learn import (
     verify_commuting_solutions,
 )
 from blockca.learn.data import verify_dataset
-from blockca.learn.rollout import predict_grids, tabulate
+from blockca.learn.models import blockwise
+from blockca.learn.rollout import tabulate
 from blockca.learn.train import fit
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
                         ReLULayer, SigmoidLayer, WrapShiftLayer,
@@ -48,7 +48,7 @@ class TestDataset:
     def test_targets_match_exact_rule(self):
         ds = small_dataset(seed=3)
         assert verify_dataset(ds)
-        for x, t in ds.pairs[:5]:
+        for x, t in zip(ds.inputs[:5], ds.targets[:5]):
             assert np.array_equal(t, step(x))
 
     def test_backward_targets_use_inverse_step(self):
@@ -413,8 +413,8 @@ class TestRuleTable:
 
 
 class TestBlockPrediction:
-    """predict_grids reads the core's 16-code table blockwise; the dense
-    whole-grid Network.predict is the reference it must reproduce."""
+    """The core's 16-code table, read blockwise on the network's partition,
+    reproduces the dense whole-grid Network.predict."""
 
     @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
     @pytest.mark.parametrize("grids", [
@@ -428,7 +428,12 @@ class TestBlockPrediction:
             for lo in range(0, len(x), 8192)])
         assert np.array_equal(apply_model_binary(net, x),
                               (dense >= 0.5).astype(np.uint8))
-        assert np.abs(predict_grids(net, x) - dense).max() <= 1e-15
+        mapped = tabulate(net)
+
+        def lookup(rows):
+            return mapped.table[block_codes(rows.reshape(-1, 2, 2)).ravel()]
+        pred = blockwise(mapped.partition, lookup, x)
+        assert np.abs(pred - dense).max() <= 1e-15
 
     @pytest.mark.parametrize("layers,named", [
         (lambda rng: build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
@@ -441,12 +446,12 @@ class TestBlockPrediction:
     def test_rejects_non_block_networks_by_layer(self, layers, named):
         net = Network(layers(np.random.default_rng(0)))
         with pytest.raises(ValueError, match=re.escape(named)):
-            predict_grids(net, random_grids(3, 8, 0.5, 0))
+            tabulate(net)
 
     def test_rejects_non_binary_grids(self):
         net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=0)
         with pytest.raises(ValueError, match="0 or 1"):
-            predict_grids(net, 2 * random_grids(3, 8, 0.5, 0))
+            apply_model_binary(net, 2 * random_grids(3, 8, 0.5, 0))
 
 
 def dense_scores(pred, targets):
@@ -538,19 +543,6 @@ class TestBlockEvaluation:
 
 
 class TestCommute:
-    def test_identity_map_commutes_without_training(self):
-        evolution = exact_phase_step(Phase.ALIGNED)
-        rng = np.random.default_rng(0)
-        grids = np.stack([random_grid(8, 0.5, rng) for _ in range(20)])
-        assert commute_loss(lambda x: x, evolution, grids) <= 1e-10
-
-    def test_evolution_commutes_with_itself(self):
-        evolution = exact_phase_step(Phase.ALIGNED)
-        rng = np.random.default_rng(1)
-        grids = np.stack([random_grid(8, 0.5, rng) for _ in range(20)])
-        candidate = lambda g: step(g, Phase.ALIGNED)
-        assert commute_loss(candidate, evolution, grids) <= 1e-10
-
     def test_verify_certifies_identity_evolution_and_square(self):
         candidates = [
             ("identity", lambda g: g),
@@ -558,8 +550,9 @@ class TestCommute:
             ("evolution-squared",
              lambda g: step(step(g, Phase.ALIGNED), Phase.ALIGNED)),
         ]
-        report = verify_commuting_solutions(candidates, trials=50, seed=2,
-                                            n=8)
+        report = verify_commuting_solutions(
+            candidates, trials=50, seed=2,
+            evolution=exact_phase_step(Phase.ALIGNED), n=8)
         assert all(r.commutes for r in report.results)
         assert report.certified
         assert len(report.distinct_commuters) == 3
@@ -570,15 +563,17 @@ class TestCommute:
             ("identity", lambda g: g),
             ("complement", lambda g: (1 - g).astype(np.uint8)),
         ]
-        report = verify_commuting_solutions(candidates, trials=30, seed=3,
-                                            n=8)
+        report = verify_commuting_solutions(
+            candidates, trials=30, seed=3,
+            evolution=exact_phase_step(Phase.ALIGNED), n=8)
         by_name = {r.name: r for r in report.results}
         assert by_name["identity"].commutes
         assert not by_name["complement"].commutes
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            verify_commuting_solutions([("identity", lambda g: g)], 0, 0)
+            verify_commuting_solutions([("identity", lambda g: g)], 0, 0,
+                                       exact_phase_step(Phase.ALIGNED))
 
     def test_epoch_metrics_score_the_moving_label_on_the_held_out_pool(self):
         evolution = exact_phase_step(Phase.ALIGNED)

@@ -10,7 +10,6 @@ from .ca import (
     Phase,
     block_transform,
     evolve,
-    inverse_block_transform,
     inverse_step,
     phase_at,
     random_grid,
@@ -38,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BLOCK_TABLE", "INVERSE_BLOCK_TABLE", "Direction", "EdgeMode",
     "GridFormatError", "Phase", "block_transform", "evolve",
-    "inverse_block_transform", "inverse_step", "phase_at", "random_grid",
+    "inverse_step", "phase_at", "random_grid",
     "random_grids", "step", "validate_grid", "validate_grids", "AffineOperator", "KernelSpec",
     "apply_operator", "build_full_step_operator", "build_phase_operator",
     "build_wrap_permutation", "compose", "conv_to_matrix",

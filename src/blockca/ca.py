@@ -102,13 +102,6 @@ def block_transform(code: int) -> int:
     return int(BLOCK_TABLE[code])
 
 
-def inverse_block_transform(code: int) -> int:
-    """Unique preimage of a block code under block_transform."""
-    if not 0 <= code <= 15:
-        raise ValueError(f"block code must be in 0..15, got {code}")
-    return int(INVERSE_BLOCK_TABLE[code])
-
-
 def validate_grids(grids) -> np.ndarray:
     """Check a (..., n, n) stack of grids; return it as uint8.
 

@@ -123,7 +123,7 @@ def _train_config(args) -> TrainConfig:
 
 def _write_run(args, command: str, history, net, **manifest) -> None:
     """Write a training run's history CSV, optional checkpoint and
-    manifest (the run's flags plus `manifest`)."""
+    manifest (the shared training flags plus `manifest`)."""
     with open(args.out_csv, "w", encoding="ascii") as f:
         f.write(history.to_csv())
     if args.out_checkpoint:
@@ -131,13 +131,6 @@ def _write_run(args, command: str, history, net, **manifest) -> None:
     write_manifest(args.out_csv + ".manifest.txt", {
         "command": command,
         "n": args.n,
-        "direction": getattr(args, "direction", "fwd"),
-        "phase": getattr(args, "phase", "aligned"),
-        "edge": getattr(args, "edge", "torus"),
-        "bypass_endpoints": getattr(args, "bypass", False),
-        "train_count": getattr(args, "train_count", 0),
-        "test_count": getattr(args, "test_count", 0),
-        "density": getattr(args, "density", DEFAULT_DENSITY),
         "epochs": args.epochs,
         "batch_size": args.batch_size,
         "optimizer": args.optimizer,
@@ -270,8 +263,11 @@ def cmd_train(args) -> int:
                       bypass_endpoints=args.bypass, seed=args.model_seed)
     history, net = train(net, ds, config,
                          holdout_fraction=args.test_count / count)
-    _write_run(args, "train", history, net, data_seed=args.data_seed,
-               model_seed=args.model_seed)
+    _write_run(args, "train", history, net, direction=args.direction,
+               phase=args.phase, edge=args.edge,
+               bypass_endpoints=args.bypass, train_count=args.train_count,
+               test_count=args.test_count, density=args.density,
+               data_seed=args.data_seed, model_seed=args.model_seed)
     final = history.final
     print(f"train: epochs={len(history)} "
           f"final cell_accuracy={final.cell_accuracy:.9g} "

@@ -26,10 +26,6 @@ def unpack_bits(word: int, width: int) -> np.ndarray:
                          bitorder="little")[:width].copy()
 
 
-def identity(dim: int) -> list[int]:
-    return [1 << i for i in range(dim)]
-
-
 def matvec(rows: list[int], x: int) -> int:
     """y = M x over GF(2); bit i of y is the parity of rows[i] & x."""
     y = 0

@@ -24,10 +24,11 @@ from .rollout import apply_model_binary, tabulate
 from .train import TrainConfig, fit, split_holdout
 
 
-def exact_phase_step(phase: Phase, edge: EdgeMode = EdgeMode.TORUS_WRAP):
-    """Grid map applying one exact half-step to (count, n, n) grids."""
+def exact_phase_step(phase: Phase):
+    """Grid map applying one exact half-step on the torus to (count, n, n)
+    grids."""
     def fn(grids: np.ndarray) -> np.ndarray:
-        return step(grids, phase, edge)
+        return step(grids, phase)
     return fn
 
 

@@ -45,7 +45,7 @@ DECODE_CHANNELS = 8
 
 
 def build_model(phase: Phase, edge: EdgeMode, bypass_endpoints: bool = False,
-                seed: int = 0, rng: np.random.Generator | None = None) -> Network:
+                seed: int = 0) -> Network:
     """Build the rule-learning network for one partition and edge scheme.
 
     With ``bypass_endpoints`` the activations after the first and last
@@ -54,8 +54,7 @@ def build_model(phase: Phase, edge: EdgeMode, bypass_endpoints: bool = False,
     the block bits), so this variant keeps one ReLU by routing the block
     features through an extra 1x1 stage between the bypassed endpoints.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     encode = ConvLayer.create(rng, 1, HIDDEN_CHANNELS, size=2, stride=2)
     mix = []
     if bypass_endpoints:

@@ -1,4 +1,4 @@
-"""Minimal CNN stack: layers, losses, optimizers, gradient checking."""
+"""Minimal CNN stack: layers, losses, the optimizer, gradient checking."""
 
 from .layers import (
     ConvLayer,
@@ -15,7 +15,7 @@ from .layers import (
     deconv_forward,
 )
 from .loss import bce_loss, counted_bce_loss
-from .optim import OptimizerConfig, NetworkOptimizer, optimizer_step, init_optimizer_state
+from .optim import OptimizerConfig, NetworkOptimizer
 from .gradcheck import (MarginNotFound, grad_check, network_loss, relu_margin,
                         draw_input_with_margin)
 from .checkpoint import save_network, load_network, CheckpointFormatError
@@ -25,8 +25,7 @@ __all__ = [
     "Pad1Layer", "Crop1Layer", "WrapShiftLayer", "UnwrapShiftLayer",
     "Network", "conv_forward", "deconv_forward", "bce_loss",
     "counted_bce_loss",
-    "OptimizerConfig", "NetworkOptimizer", "optimizer_step",
-    "init_optimizer_state", "grad_check", "network_loss",
+    "OptimizerConfig", "NetworkOptimizer", "grad_check", "network_loss",
     "relu_margin", "draw_input_with_margin", "MarginNotFound", "save_network",
     "load_network", "CheckpointFormatError",
 ]

@@ -8,6 +8,10 @@ from .layers import Network, ReLULayer
 from .loss import bce_loss
 
 FD_STEP = 1e-5
+# draw_input_with_margin keeps an input once every ReLU pre-activation is
+# at least RELU_MARGIN from the kink, and gives up after MARGIN_TRIES draws.
+RELU_MARGIN = 1e-3
+MARGIN_TRIES = 200
 
 
 class MarginNotFound(RuntimeError):
@@ -32,20 +36,18 @@ def relu_margin(net: Network, x: np.ndarray) -> float:
                 if isinstance(layer, ReLULayer)), default=np.inf)
 
 
-def draw_input_with_margin(net: Network, shape, rng: np.random.Generator,
-                           margin: float = 1e-3,
-                           tries: int = 200) -> np.ndarray:
+def draw_input_with_margin(net: Network, shape,
+                           rng: np.random.Generator) -> np.ndarray:
     """Sample uniform [0,1) inputs until every ReLU clears the kink margin."""
-    for _ in range(tries):
+    for _ in range(MARGIN_TRIES):
         x = rng.random(shape)
-        if relu_margin(net, x) > margin:
+        if relu_margin(net, x) > RELU_MARGIN:
             return x
-    raise MarginNotFound(f"no input cleared the ReLU margin {margin} "
-                         f"in {tries} tries")
+    raise MarginNotFound(f"no input cleared the ReLU margin {RELU_MARGIN} "
+                         f"in {MARGIN_TRIES} tries")
 
 
-def grad_check(net: Network, x: np.ndarray, target: np.ndarray,
-               step: float = FD_STEP) -> float:
+def grad_check(net: Network, x: np.ndarray, target: np.ndarray) -> float:
     """Max relative error of backprop gradients vs central differences."""
     pred, caches = net.forward(x)
     _, dpred = bce_loss(pred, target)
@@ -58,12 +60,12 @@ def grad_check(net: Network, x: np.ndarray, target: np.ndarray,
         ana_flat = ana.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
-            flat[idx] = orig + step
+            flat[idx] = orig + FD_STEP
             loss_plus = network_loss(net, x, target)
-            flat[idx] = orig - step
+            flat[idx] = orig - FD_STEP
             loss_minus = network_loss(net, x, target)
             flat[idx] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * step)
+            numeric = (loss_plus - loss_minus) / (2.0 * FD_STEP)
             denom = max(abs(ana_flat[idx]), abs(numeric))
             # Below the floor both sides are finite-difference noise.
             if denom > 1e-8:

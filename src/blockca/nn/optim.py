@@ -1,4 +1,5 @@
-"""Plain SGD and bias-corrected Adam updates."""
+"""The network optimizer: plain SGD or bias-corrected Adam over one flat
+parameter vector."""
 
 from __future__ import annotations
 
@@ -27,68 +28,43 @@ class OptimizerConfig:
             raise ValueError("adam betas must lie in (0, 1)")
 
 
-def init_optimizer_state(config: OptimizerConfig, params) -> dict:
-    if config.algorithm == "sgd":
-        return {}
-    return {
-        "step": 0,
-        "m": [np.zeros_like(p) for p in params],
-        "v": [np.zeros_like(p) for p in params],
-    }
-
-
-def optimizer_step(config: OptimizerConfig, params, grads, state: dict) -> dict:
-    """Update parameter arrays in place; returns the (mutated) state."""
-    if len(params) != len(grads):
-        raise ValueError("params and grads differ in length")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != param {p.shape}")
-    if config.algorithm == "sgd":
-        for p, g in zip(params, grads):
-            p -= config.learning_rate * g
-        return state
-    state["step"] += 1
-    t = state["step"]
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
-    return state
-
-
 class NetworkOptimizer:
     """Binds an optimizer config to a network's parameter arrays.
 
-    The parameters are updated as one flat vector: each step gathers the
-    gradients into one vector, runs optimizer_step once on a zero vector of
-    the parameters' total size, which leaves the update in it, and adds
-    each parameter's slice of that update.  p + (-u) equals p - u bit for bit, so the parameters stay those
-    of optimizer_step run on each array in place.
+    Each step gathers the gradients into one flat vector g, computes the
+    flat update u (SGD: lr * g; Adam: lr * m_hat / (sqrt(v_hat) + eps) from
+    flat moments m and v), and subtracts each parameter's slice of u from
+    that parameter in place.  Every operation is elementwise, so this is
+    the per-array update of each parameter, bit for bit.
     """
 
     def __init__(self, config: OptimizerConfig, network):
         self.config = config
-        self.network = network
         pairs = network.parameters()
         self._params = [p for p, _ in pairs]
         self._grads = [g for _, g in pairs]
         bounds = np.cumsum([0] + [p.size for p in self._params])
         self._slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         self._grad = np.zeros(bounds[-1])
-        self._delta = np.zeros(bounds[-1])
-        self.state = init_optimizer_state(config, [self._delta])
+        self._m = np.zeros(bounds[-1])
+        self._v = np.zeros(bounds[-1])
+        self._t = 0
 
     def step(self):
-        for g, part in zip(self._grads, self._slices):
-            self._grad[part] = g().ravel()
-        self._delta[:] = 0.0
-        self.state = optimizer_step(self.config, [self._delta], [self._grad],
-                                    self.state)
+        c, g = self.config, self._grad
+        for grad, part in zip(self._grads, self._slices):
+            g[part] = grad().ravel()
+        if c.algorithm == "sgd":
+            update = c.learning_rate * g
+        else:
+            self._t += 1
+            b1, b2 = c.adam_beta1, c.adam_beta2
+            self._m *= b1
+            self._m += (1.0 - b1) * g
+            self._v *= b2
+            self._v += (1.0 - b2) * g * g
+            m_hat = self._m / (1.0 - b1 ** self._t)
+            v_hat = self._v / (1.0 - b2 ** self._t)
+            update = c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_epsilon)
         for p, part in zip(self._params, self._slices):
-            p += self._delta[part].reshape(p.shape)
+            p -= update[part].reshape(p.shape)

@@ -405,6 +405,15 @@ class TestCommuteAndGradcheck:
         assert "non-uniqueness certified: yes" in out
         assert len(csv.read_text().strip().splitlines()) == 3
 
+    def test_commute_manifest_lists_only_its_own_flags(self, tmp_path):
+        csv = tmp_path / "commute.csv"
+        assert run("commute", "--n", "8", "--count", "100", "--epochs", "1",
+                   "--verify-trials", "0", "--out-csv", csv) == 0
+        manifest = (tmp_path / "commute.csv.manifest.txt").read_text()
+        keys = [line.split("=")[0] for line in manifest.splitlines()]
+        assert "train_count" not in keys and "test_count" not in keys
+        assert "command=commute" in manifest and "count=100" in manifest
+
     def test_negative_verify_trials_exit_3_before_training(self, tmp_path):
         csv = tmp_path / "commute.csv"
         assert main(["commute", "--n", "8", "--count", "200", "--epochs", "1",

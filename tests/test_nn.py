@@ -1,4 +1,4 @@
-"""Layers, loss, optimizers, checkpoints."""
+"""Layers, loss, the optimizer, checkpoints."""
 
 import pathlib
 import tempfile
@@ -28,9 +28,7 @@ from blockca.nn import (
     conv_forward,
     counted_bce_loss,
     deconv_forward,
-    init_optimizer_state,
     load_network,
-    optimizer_step,
     save_network,
 )
 from blockca.nn.optim import NetworkOptimizer
@@ -209,28 +207,69 @@ class TestBceLoss:
         assert np.allclose(grad, np.bincount(owner, dcells), rtol=1e-14)
 
 
+def one_by_one_network(weights):
+    """A 1x1 conv network, one output channel per weight, with zero bias.
+    Tests write its gradients into the layer's grad_weights and grad_bias
+    by hand."""
+    w = np.array(weights, dtype=np.float64)
+    return Network([ConvLayer(KernelSpec(w.size, 1, 1, 1, 1,
+                                         w.reshape(-1, 1, 1, 1),
+                                         np.zeros(w.size)))])
+
+
+def per_array_optimizer(config, params):
+    """Reference SGD/Adam: returns step(grads), which updates each
+    parameter array in place with its own moments."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+
+    def step(grads):
+        nonlocal t
+        t += 1
+        lr, b1, b2 = (config.learning_rate, config.adam_beta1,
+                      config.adam_beta2)
+        for p, g, m_p, v_p in zip(params, grads, m, v):
+            if config.algorithm == "sgd":
+                p -= lr * g
+                continue
+            m_p *= b1
+            m_p += (1.0 - b1) * g
+            v_p *= b2
+            v_p += (1.0 - b2) * g * g
+            m_hat = m_p / (1.0 - b1 ** t)
+            v_hat = v_p / (1.0 - b2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    return step
+
+
 class TestOptimizers:
     def test_zero_gradient_leaves_params_alone(self):
         for algorithm in ("sgd", "adam"):
             config = OptimizerConfig(algorithm=algorithm, learning_rate=0.1)
-            p = np.array([1.0, -2.0])
-            state = init_optimizer_state(config, [p])
-            optimizer_step(config, [p], [np.zeros(2)], state)
-            assert np.array_equal(p, [1.0, -2.0])
+            net = one_by_one_network([1.0, -2.0])
+            NetworkOptimizer(config, net).step()
+            assert np.array_equal(net.layers[0].kernel.weights.ravel(),
+                                  [1.0, -2.0])
+            assert np.array_equal(net.layers[0].kernel.bias, [0.0, 0.0])
 
     def test_sgd_unit_rate_with_self_gradient_zeroes_params(self):
         config = OptimizerConfig(algorithm="sgd", learning_rate=1.0)
-        p = np.array([3.0, -0.5])
-        optimizer_step(config, [p], [p.copy()], {})
-        assert np.array_equal(p, [0.0, 0.0])
+        net = one_by_one_network([3.0, -0.5])
+        layer = net.layers[0]
+        layer.grad_weights = layer.kernel.weights.copy()
+        NetworkOptimizer(config, net).step()
+        assert np.array_equal(layer.kernel.weights.ravel(), [0.0, 0.0])
 
     def test_adam_converges_on_quadratic_bowl(self):
         config = OptimizerConfig(algorithm="adam", learning_rate=1e-2)
-        p = np.array([1.0])
-        state = init_optimizer_state(config, [p])
+        net = one_by_one_network([1.0])
+        layer = net.layers[0]
+        opt = NetworkOptimizer(config, net)
         for _ in range(2000):
-            optimizer_step(config, [p], [2.0 * p], state)
-        assert abs(p[0]) < 1e-3
+            layer.grad_weights = 2.0 * layer.kernel.weights
+            opt.step()
+        assert abs(layer.kernel.weights.item()) < 1e-3
 
     def test_bad_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -264,7 +303,7 @@ class TestOptimizers:
                          SigmoidLayer()]) for _ in range(2)]
         opt = NetworkOptimizer(config, nets[0])
         params = [p for p, _ in nets[1].parameters()]
-        state = init_optimizer_state(config, params)
+        reference = per_array_optimizer(config, params)
         rng = np.random.default_rng(12)
         for _ in range(5):
             x = rng.random((4, 1, 4, 4))
@@ -275,7 +314,7 @@ class TestOptimizers:
                 net.backward(bce_loss(pred, t)[1], caches)
                 grads.append([g().copy() for _, g in net.parameters()])
             opt.step()
-            state = optimizer_step(config, params, grads[1], state)
+            reference(grads[1])
             for (a, _), b in zip(nets[0].parameters(), params):
                 assert a.tobytes() == b.tobytes()
 

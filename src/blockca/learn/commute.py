@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ca import EdgeMode, Phase, phase_at, random_grids, step
-from .models import build_model
+from .models import block_form, build_model
 from .rollout import apply_model_binary, tabulate
-from .train import TrainConfig, fit, split_holdout
+from .train import TrainConfig, block_keys, fit, split_holdout
 
 
 def exact_phase_step(phase: Phase):
@@ -44,7 +44,9 @@ def commute_experiment(evolution, init_seed: int, config: TrainConfig,
 
     Returns (history, network).  The per-epoch metrics measure how well the
     thresholded N(B(x)) matches the moving label B(threshold(N(x))) on a
-    held-out pool of grids.
+    held-out pool of grids.  The labels move as the network trains, so
+    the block keys of each minibatch and of the pool are packed on every
+    read.
     """
     rng = np.random.default_rng(config.seed)
     grids = random_grids(count, n, 0.5, rng)
@@ -52,11 +54,14 @@ def commute_experiment(evolution, init_seed: int, config: TrainConfig,
     net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
                       bypass_endpoints=config.bypass_endpoints, seed=init_seed)
 
-    def pairs(indices):
-        x = grids[indices]
-        return evolution(x), evolution(apply_model_binary(net, x))
+    partition = block_form(net)[0]
 
-    return fit(net, pairs, count - n_test, n_test, config, rng), net
+    def keys(indices):
+        x = grids[indices]
+        return block_keys(partition, evolution(x),
+                          evolution(apply_model_binary(net, x)))
+
+    return fit(net, keys, count - n_test, n_test, config, rng), net
 
 
 @dataclass(frozen=True)

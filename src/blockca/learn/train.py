@@ -3,10 +3,12 @@
 Training runs in block-code space.  A build_model network maps every block
 of its partition on its own, so the loss of a minibatch is a sum over the
 16 block codes, weighted by how often each (code, cell, target bit) occurs.
-Each step runs the network's core once on the 16 codes instead of on the
-whole batch, and held-out evaluation scores the core's 16-code table
-against the same block keys (see block_keys); dense backprop
-(Network.backward) stays as the reference.
+Each sample is read as its row of 12-bit block keys (see block_keys), and
+supervised training packs the keys of its whole dataset once (see
+pack_keys); each step counts the keys of its minibatch and runs the
+network's core once on the 16 codes instead of on the whole batch, and
+held-out evaluation scores the core's 16-code table against the same keys.
+Dense backprop (Network.backward) stays as the reference.
 """
 
 from __future__ import annotations
@@ -83,36 +85,36 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_tensors(model, grids: np.ndarray,
-                     targets: np.ndarray) -> EvalResult:
+def evaluate_tensors(model, keys: np.ndarray) -> EvalResult:
     """Thresholded-at-0.5 cell accuracy, exact-grid rate and mean loss of a
-    grid map on (count, n, n) grids against binary targets of that shape.
+    grid map against the (count, blocks) block keys of its grids (see
+    block_keys), packed in its partition from the grids it reads, as
+    evaluate does.
 
     The map is scored from its 16-code table (see rollout.tabulate): the
-    (code, cell, target bit) counts of the blocks give the loss and the
-    cell accuracy, and the table of block keys that hold a wrong cell gives
-    the exact-grid rate.  A non-finite table raises TrainingDiverged.
+    (code, cell, target bit) counts of the keys give the loss and the cell
+    accuracy, and the table of block keys that hold a wrong cell gives the
+    exact-grid rate.  A non-finite table raises TrainingDiverged.
     """
-    if grids.shape[0] == 0:
+    if len(keys) == 0:
         raise ValueError("cannot evaluate on an empty set")
-    frame, partition, table, _ = tabulate(model)
-    x = frame(grids)
-    t = validate_grids(targets)
-    if t.shape != x.shape:
-        raise ValueError(f"target shape {t.shape} != grid shape {x.shape}")
-    keys = block_keys(partition, x, t)
+    table = tabulate(model).table
     counts = key_counts(keys)
-    loss, _ = counted_bce_loss(table, counts[..., 1], counts[..., 0], t.size)
+    cells = int(counts.sum())
+    loss, _ = counted_bce_loss(table, counts[..., 1], counts[..., 0], cells)
     hit = table >= 0.5
     right = counts[..., 1][hit].sum() + counts[..., 0][~hit].sum()
     exact = ~_wrong_blocks(hit)[keys].any(axis=1)
-    return EvalResult(cell_accuracy=int(right) / t.size,
-                      exact_grid_rate=int(exact.sum()) / len(x),
+    return EvalResult(cell_accuracy=int(right) / cells,
+                      exact_grid_rate=int(exact.sum()) / len(keys),
                       mean_loss=loss)
 
 
 def evaluate(model, dataset: Dataset) -> EvalResult:
-    return evaluate_tensors(model, dataset.inputs, dataset.targets)
+    """evaluate_tensors of a grid map on a whole dataset."""
+    table = tabulate(model)
+    return evaluate_tensors(model, pack_keys(
+        table.partition, table.frame, dataset.inputs, dataset.targets))
 
 
 # _CELL_BITS[c, k] is cell k (2 * row in block + column in block) of the
@@ -133,6 +135,12 @@ def _wrong_blocks(hit: np.ndarray) -> np.ndarray:
     return wrong.any(axis=-1).ravel()
 
 
+def _check_shapes(inputs, targets) -> None:
+    if np.shape(targets) != np.shape(inputs):
+        raise ValueError(f"target shape {np.shape(targets)} != grid shape "
+                         f"{np.shape(inputs)}")
+
+
 def block_keys(partition, inputs, targets) -> np.ndarray:
     """(N, blocks) 12-bit keys of the blocks of `partition` of (N, n, n)
     binary input and target grid stacks: input code << 8 | target code << 4
@@ -141,6 +149,7 @@ def block_keys(partition, inputs, targets) -> np.ndarray:
     A ones mask goes along into the partition's frame (see ca.to_frame), so
     the mask code marks the cells that ca.from_frame keeps.
     """
+    _check_shapes(inputs, targets)
     frame = np.stack([inputs, targets, np.ones_like(inputs)], axis=1,
                      dtype=np.uint8)
     if frame.max() > 1:
@@ -148,6 +157,30 @@ def block_keys(partition, inputs, targets) -> np.ndarray:
     codes = block_codes(to_frame(frame, *partition)).astype(np.uint16)
     keys = codes[:, 0] << 8 | codes[:, 1] << 4 | codes[:, 2]
     return keys.reshape(len(keys), -1)
+
+
+# Grids per block_keys call in pack_keys, which bounds its work arrays
+# however large the dataset.
+KEY_CHUNK = 1000
+
+
+def pack_keys(partition, read, inputs, targets) -> np.ndarray:
+    """block_keys of `partition` of read(inputs) against `targets`, two
+    (count, n, n) grid stacks, packed KEY_CHUNK grids at a time into one
+    (count, blocks) array.
+
+    `read` maps a chunk of inputs to the validated grids a map reads (see
+    rollout.BlockTable.frame); targets are checked by ca.validate_grids.
+    """
+    _check_shapes(inputs, targets)
+    side = to_frame(np.zeros(np.shape(inputs)[-2:], np.uint8),
+                    *partition).shape[-1]
+    keys = np.empty((len(inputs), (side // 2) ** 2), np.uint16)
+    for lo in range(0, len(inputs), KEY_CHUNK):
+        hi = lo + KEY_CHUNK
+        keys[lo:hi] = block_keys(partition, read(inputs[lo:hi]),
+                                 validate_grids(targets[lo:hi]))
+    return keys
 
 
 def key_counts(keys: np.ndarray) -> np.ndarray:
@@ -158,18 +191,18 @@ def key_counts(keys: np.ndarray) -> np.ndarray:
     return (blocks @ _SCORES).reshape(16, 4, 2)
 
 
-def block_backward(partition, core: Network, inputs, targets) -> float:
-    """BCE of a network in block form (see models.block_form) on (N, n, n)
-    input and target grids, backpropagated through its core.
+def block_backward(core: Network, counts: np.ndarray) -> float:
+    """BCE of a network in block form (see models.block_form) on the cells
+    of (16, 4, 2) key_counts, backpropagated through its core.
 
-    The loss equals bce_loss of the dense forward pass, and the core's
-    layers are left holding the parameter gradients that Network.backward
-    of that loss would leave in them.
+    The loss equals bce_loss of the dense forward pass on the grids the
+    counts were taken from, and the core's layers are left holding the
+    parameter gradients that Network.backward of that loss would leave in
+    them.
     """
-    hist = key_counts(block_keys(partition, inputs, targets))
     probs, caches = code_forward(core)
-    loss, grad = counted_bce_loss(probs.reshape(16, 4), hist[..., 1],
-                                  hist[..., 0], np.size(inputs))
+    loss, grad = counted_bce_loss(probs.reshape(16, 4), counts[..., 1],
+                                  counts[..., 0], counts.sum())
     core.backward(grad.reshape(CODE_BATCH.shape), caches)
     return loss
 
@@ -185,20 +218,20 @@ def split_holdout(count: int, holdout_fraction: float) -> int:
     return n_test
 
 
-def fit(net: Network, pairs, n_train: int, n_test: int, config: TrainConfig,
+def fit(net: Network, keys, n_train: int, n_test: int, config: TrainConfig,
         rng: np.random.Generator) -> TrainHistory:
     """Minibatch BCE training of `net` in place; returns per-epoch history.
 
     `net` must split by models.block_form, else ValueError is raised before
-    any step; each minibatch takes one forward and backward pass of its
-    core on the 16 block codes (see block_backward) and one optimizer step.
-    `pairs(indices)` returns the (inputs, targets) (count, n, n) binary
-    grid stacks of those sample indices.  Indices below `n_train` are
-    trained on, in an order `rng` shuffles each epoch; the next `n_test`
-    are held out and scored by evaluate_tensors after each epoch's last
-    optimizer step.
+    any step.  `keys(indices)` returns the (count, blocks) block keys of
+    those sample indices in the network's partition (see block_keys); each
+    minibatch counts its keys (see key_counts) and takes one forward and
+    backward pass of the core on the 16 block codes (see block_backward)
+    and one optimizer step.  Indices below `n_train` are trained on, in an
+    order `rng` shuffles each epoch; the next `n_test` are held out and
+    scored by evaluate_tensors after each epoch's last optimizer step.
     """
-    partition, core = block_form(net)
+    _, core = block_form(net)
     history = TrainHistory()
     optimizer = NetworkOptimizer(config.optimizer, net)
     held_out = np.arange(n_train, n_train + n_test)
@@ -207,14 +240,14 @@ def fit(net: Network, pairs, n_train: int, n_test: int, config: TrainConfig,
         loss_sum = 0.0
         for lo in range(0, n_train, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            loss = block_backward(partition, core, *pairs(idx))
+            loss = block_backward(core, key_counts(keys(idx)))
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             optimizer.step()
             loss_sum += loss * idx.size
         # A module-global call: bench/workloads.py's Gate replaces
         # evaluate_tensors here to end training at a held-out gate.
-        test = evaluate_tensors(net, *pairs(held_out))
+        test = evaluate_tensors(net, keys(held_out))
         history.records.append(EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n_train,
@@ -229,17 +262,18 @@ def train(model: Network, dataset: Dataset, config: TrainConfig,
           holdout_fraction: float) -> tuple[TrainHistory, Network]:
     """Train in place; returns per-epoch history and the same network.
 
-    The trailing `holdout_fraction` of the dataset is never trained on and
-    supplies the per-epoch test metrics.  Identical seeds and configs give
-    bit-identical histories.
+    The dataset's block keys are packed once, before the first step, so a
+    network that does not split by models.block_form or a dataset that is
+    not binary raises ValueError with the network unchanged.  The trailing
+    `holdout_fraction` of the dataset is never trained on and supplies the
+    per-epoch test metrics.  Identical seeds and configs give bit-identical
+    histories.
     """
     if len(dataset) < 10:
         raise ValueError("dataset must hold at least 10 pairs")
     n_test = split_holdout(len(dataset), holdout_fraction)
-
-    def pairs(indices):
-        return dataset.inputs[indices], dataset.targets[indices]
-
-    history = fit(model, pairs, len(dataset) - n_test, n_test, config,
-                  np.random.default_rng(config.seed))
+    keys = pack_keys(block_form(model)[0], validate_grids, dataset.inputs,
+                     dataset.targets)
+    history = fit(model, keys.__getitem__, len(dataset) - n_test, n_test,
+                  config, np.random.default_rng(config.seed))
     return history, model

@@ -144,8 +144,9 @@ def test_code_space_loss_and_gradients_equal_dense_backprop(phase, edge,
             want, dpred = bce_loss(pred, t[:, None].astype(np.float64))
             net.backward(dpred, caches)
             dense = [grad().copy() for _, grad in net.parameters()]
-            assert key_counts(block_keys(lead, x, t)).sum() == x.size
-            loss = block_backward(lead, core, x, t)
+            counts = key_counts(block_keys(lead, x, t))
+            assert counts.sum() == x.size
+            loss = block_backward(core, counts)
             assert abs(loss - want) <= 1e-12 * want
             for d, (_, grad) in zip(dense, net.parameters()):
                 assert np.abs(grad() - d).max() <= 1e-12 * np.abs(d).max()

@@ -1,5 +1,6 @@
 """Datasets, model construction, training loop, rollout, commutativity."""
 
+import dataclasses
 import importlib
 import re
 
@@ -24,16 +25,18 @@ from blockca.learn import (
     verify_commuting_solutions,
 )
 from blockca.learn.data import verify_dataset
-from blockca.learn.models import blockwise
+from blockca.learn.models import ALIGNED_PARTITION, blockwise
 from blockca.learn.rollout import tabulate
-from blockca.learn.train import fit
+from blockca.learn.train import KEY_CHUNK, block_keys, fit, pack_keys
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
                         ReLULayer, SigmoidLayer, WrapShiftLayer,
                         UnwrapShiftLayer, bce_loss)
 from blockca.nn.optim import NetworkOptimizer, OptimizerConfig
 
-# The module, not the function that blockca.learn exports under its name.
+# The modules, not the functions that blockca.learn exports under their
+# names.
 rollout_module = importlib.import_module("blockca.learn.rollout")
+train_module = importlib.import_module("blockca.learn.train")
 
 SMALL = TrainConfig(epochs=2, batch_size=8, seed=0,
                     optimizer=OptimizerConfig(learning_rate=1e-3))
@@ -171,10 +174,11 @@ class TestBlockForm:
         before = [p.copy() for p, _ in net.parameters()]
         ds = small_dataset()
 
-        def pairs(indices):
-            return ds.inputs[indices], ds.targets[indices]
+        def keys(indices):
+            return block_keys(ALIGNED_PARTITION, ds.inputs[indices],
+                              ds.targets[indices])
         with pytest.raises(ValueError, match="layer"):
-            fit(net, pairs, 30, 10, SMALL, np.random.default_rng(0))
+            fit(net, keys, 30, 10, SMALL, np.random.default_rng(0))
         assert steps == []
         assert all(np.array_equal(a, p)
                    for a, (p, _) in zip(before, net.parameters()))
@@ -191,6 +195,13 @@ class TestBlockForm:
         assert np.array_equal(frame[:, 0], to_frame(x, *partition))
         assert np.array_equal(net.layers[-1].forward(frame)[0][:, 0],
                               from_frame(frame[:, 0], *partition))
+
+
+def set_cell(grids, value):
+    """Copy of a grid stack with one cell of grid 150 set to `value`."""
+    out = grids.copy()
+    out[150, 3, 4] = value
+    return out
 
 
 class TestTrain:
@@ -229,6 +240,74 @@ class TestTrain:
             train(net, small_dataset(count=5), SMALL, 0.2)
         with pytest.raises(ValueError):
             train(net, small_dataset(), SMALL, 0.0)
+
+    @pytest.mark.parametrize("spoil,message", [
+        (lambda ds: dataclasses.replace(
+            ds, targets=set_cell(ds.targets, 2)), "0 or 1"),
+        (lambda ds: dataclasses.replace(
+            ds, inputs=set_cell(ds.inputs.astype(np.float64), 0.5),
+            targets=ds.targets.astype(np.float64)), "0 or 1"),
+        (lambda ds: dataclasses.replace(ds, targets=ds.targets[:, :-2, :-2]),
+         "target shape"),
+    ], ids=["target-2", "float", "misshaped"])
+    def test_bad_dataset_fails_before_the_first_optimizer_step(
+            self, monkeypatch, spoil, message):
+        steps = []
+        monkeypatch.setattr(NetworkOptimizer, "step",
+                            lambda self: steps.append(1))
+        ds = spoil(small_dataset(count=200))
+        net = build_model(Phase.OFFSET, EdgeMode.ZERO_PAD_CROP, seed=2)
+        before = [p.copy() for p, _ in net.parameters()]
+        with pytest.raises(ValueError, match=message) as trained:
+            train(net, ds, SMALL, 0.25)
+        assert steps == []
+        assert all(np.array_equal(a, p)
+                   for a, (p, _) in zip(before, net.parameters()))
+        with pytest.raises(ValueError) as evaluated:
+            evaluate(net, ds)
+        assert str(evaluated.value) == str(trained.value)
+
+    def test_binary_float_dataset_trains_like_uint8(self):
+        ds = small_dataset(count=200)
+        floats = dataclasses.replace(ds, inputs=ds.inputs.astype(np.float64),
+                                     targets=ds.targets.astype(np.float64))
+        runs = [train(build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
+                                  seed=2), d, SMALL, 0.25)[0].to_csv()
+                for d in (ds, floats)]
+        assert runs[0] == runs[1]
+
+    def test_keys_are_packed_once_per_dataset(self, monkeypatch):
+        rows = []
+        real = train_module.block_keys
+
+        def counted(*args):
+            keys = real(*args)
+            rows.append(len(keys))
+            return keys
+        monkeypatch.setattr(train_module, "block_keys", counted)
+        ds = small_dataset(count=200)
+        for epochs in (1, 3):
+            rows.clear()
+            net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=2)
+            history, _ = train(net, ds, TrainConfig(epochs=epochs,
+                                                    batch_size=16), 0.2)
+            assert len(history) == epochs
+            assert sum(rows) == len(ds)
+
+
+class TestPackKeys:
+    @pytest.mark.parametrize("partition", [
+        (Phase.ALIGNED, EdgeMode.TORUS_WRAP),
+        (Phase.OFFSET, EdgeMode.TORUS_WRAP),
+        (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP)])
+    @pytest.mark.parametrize("count", [KEY_CHUNK - 300, 2 * KEY_CHUNK + 501])
+    def test_chunks_equal_one_whole_stack(self, partition, count):
+        x = random_grids(count, 4, 0.5, count)
+        t = step(x, *partition)
+        want = block_keys(partition, x, t)
+        got = pack_keys(partition, lambda g: g, x, t)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestEvaluate:
@@ -479,6 +558,13 @@ def flip_a_third(grids, seed):
     return out
 
 
+def read_keys(model, x, t):
+    """The block keys evaluate packs for a grid map: those of the grids
+    it reads, in its partition."""
+    table = tabulate(model)
+    return pack_keys(table.partition, table.frame, x, t)
+
+
 class TestBlockEvaluation:
     """evaluate_tensors scores the 16-code table against block keys; the
     dense Network.predict with bce_loss and a threshold is its reference."""
@@ -492,7 +578,7 @@ class TestBlockEvaluation:
         t = flip_a_third((pred >= 0.5).astype(np.uint8), n)
         accuracy, rate, loss = dense_scores(pred, t)
         assert 0.0 < rate < 1.0
-        result = evaluate_tensors(net, x, t)
+        result = evaluate_tensors(net, block_keys(block_form(net)[0], x, t))
         assert result.cell_accuracy == accuracy
         assert result.exact_grid_rate == rate
         assert abs(result.mean_loss - loss) <= 1e-12 * loss
@@ -504,7 +590,7 @@ class TestBlockEvaluation:
                    lambda g: np.zeros_like(g)):
             accuracy, rate, loss = dense_scores(
                 fn(x).astype(np.float64), t)
-            result = evaluate_tensors(fn, x, t)
+            result = evaluate_tensors(fn, read_keys(fn, x, t))
             assert (result.cell_accuracy, result.exact_grid_rate) == \
                 (accuracy, rate)
             assert abs(result.mean_loss - loss) <= 1e-12 * loss
@@ -519,7 +605,7 @@ class TestBlockEvaluation:
         for model in (build_model(Phase.OFFSET, EdgeMode.ZERO_PAD_CROP,
                                   seed=0), lambda g: g):
             with pytest.raises(ValueError):
-                evaluate_tensors(model, x, t)
+                evaluate_tensors(model, read_keys(model, x, t))
 
     def test_rollout_runs_each_core_once(self, monkeypatch):
         net_a = centred_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, False, 3)
@@ -581,8 +667,9 @@ class TestCommute:
         history, net = commute_experiment(evolution, 3, config, n=8,
                                           count=100, holdout_fraction=0.2)
         held_out = random_grids(100, 8, 0.5, 4)[-20:]
-        want = evaluate_tensors(net, evolution(held_out),
-                                evolution(apply_model_binary(net, held_out)))
+        want = evaluate_tensors(net, block_keys(
+            block_form(net)[0], evolution(held_out),
+            evolution(apply_model_binary(net, held_out))))
         final = history.final
         assert (final.test_loss, final.cell_accuracy,
                 final.exact_grid_rate) == \

@@ -17,6 +17,15 @@ keep a positive margin, so the two-half-step evolution is exhibited as one
 finite composition of linear maps and ReLU.  The clamp acts per cell and
 maps 0 to 0, so it commutes with the offset network's torus shift and
 zero padding and runs blockwise in front of that network's core.
+
+witness_logits takes one row per 2x2 block and runs the stages over
+near-equal slices of at most WITNESS_ROWS rows, writing the last affine
+stage straight into one preallocated output, so every stage temporary stays
+cache-sized however many grids the stack holds.  A slice is the whole
+input or at least WITNESS_ROWS / 2 rows; slices of 512 rows or more give the
+same bits as one pass over all rows, where smaller ones can take another
+BLAS path.  A non-finite logit raises TrainingDiverged instead of being
+thresholded.
 """
 
 from __future__ import annotations
@@ -35,6 +44,11 @@ from ..nn.layers import (
     SigmoidLayer,
 )
 from .models import block_form, blockwise
+from .rollout import TrainingDiverged
+
+# Block rows per pass of witness_logits: a (rows, 32) float64 stage
+# temporary is then 512 kB instead of one array over every block.
+WITNESS_ROWS = 2048
 
 
 def lower_network(net: Network) -> list[tuple]:
@@ -75,15 +89,38 @@ def lower_network(net: Network) -> list[tuple]:
 
 
 def witness_logits(stages, flat: np.ndarray) -> np.ndarray:
-    """Apply lowered stages to (N, dim) or (dim,) flattened inputs."""
+    """Apply lowered stages to (N, dim) or (dim,) flattened inputs,
+    WITNESS_ROWS rows at a time; `flat` is never written."""
     x = np.asarray(flat, dtype=np.float64)
-    for stage in stages:
-        if stage[0] == "affine":
-            _, mat, bias = stage
-            x = x @ mat.T + bias
-        else:
-            x = np.maximum(x, 0.0)
-    return x
+    rows = x.reshape(-1, x.shape[-1])
+    last = max((i for i, stage in enumerate(stages) if stage[0] == "affine"),
+               default=-1)
+    out = np.empty((len(rows), stages[last][1].shape[0] if last >= 0
+                    else rows.shape[1]))
+    start = 0
+    for block in np.array_split(rows, max(1, -(-len(rows) // WITNESS_ROWS))):
+        stop = start + len(block)
+        y = block
+        for i, stage in enumerate(stages):
+            if stage[0] == "affine":
+                _, mat, bias = stage
+                y = np.matmul(y, mat.T,
+                              out=out[start:stop] if i == last else None)
+                y += bias
+            elif y is block:  # the caller's rows: never clipped in place
+                y = np.maximum(y, 0.0)
+            else:
+                np.maximum(y, 0.0, out=y)
+        if last < 0:
+            out[start:stop] = y
+        start = stop
+    return out.reshape(*x.shape[:-1], out.shape[-1])
+
+
+def _finite(z: np.ndarray) -> np.ndarray:
+    if not np.isfinite(z).all():
+        raise TrainingDiverged("non-finite witness logits")
+    return z
 
 
 def binarize_stages(dim: int, alpha: float) -> list[tuple]:
@@ -104,10 +141,11 @@ def binarize_stages(dim: int, alpha: float) -> list[tuple]:
 
 def single_step_witness(net: Network, grids) -> np.ndarray:
     """Predict a (..., n, n) stack of grids through the lowered stages,
-    blockwise; logits thresholded at 0."""
+    blockwise; logits thresholded at 0.  Non-finite logits raise
+    TrainingDiverged."""
     x = validate_grids(grids).astype(np.float64)
-    z = blockwise(block_form(net)[0],
-                  partial(witness_logits, lower_network(net)), x)
+    z = _finite(blockwise(block_form(net)[0],
+                          partial(witness_logits, lower_network(net)), x))
     return (z >= 0.0).astype(np.uint8)
 
 
@@ -116,18 +154,21 @@ def two_step_witness(net_aligned: Network, net_offset: Network,
     """Chain both lowered half-step networks into one linear+ReLU stack.
 
     The clamp scale is set from the aligned logits' margin on these grids;
-    returns (predicted grids, margin).  Raises if the stack is empty or any
-    aligned logit is exactly zero, since then no clamp scale can binarize.
+    returns (predicted grids, margin).  Raises ValueError if the stack is
+    empty or any aligned logit is exactly zero, since then no clamp scale
+    can binarize, and TrainingDiverged if any logit of either network is
+    not finite.
     """
     x = validate_grids(grids).astype(np.float64)
     if x.size == 0:
         raise ValueError("no margin exists on an empty set of grids")
-    z1 = blockwise(block_form(net_aligned)[0],
-                   partial(witness_logits, lower_network(net_aligned)), x)
+    z1 = _finite(blockwise(block_form(net_aligned)[0],
+                           partial(witness_logits, lower_network(net_aligned)),
+                           x))
     margin = float(np.abs(z1).min())
     if margin == 0.0:
         raise ValueError("aligned logits touch zero; no clamp scale exists")
     chain = binarize_stages(4, 2.0 / margin) + lower_network(net_offset)
-    z2 = blockwise(block_form(net_offset)[0],
-                   partial(witness_logits, chain), z1)
+    z2 = _finite(blockwise(block_form(net_offset)[0],
+                           partial(witness_logits, chain), z1))
     return (z2 >= 0.0).astype(np.uint8), margin

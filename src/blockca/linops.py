@@ -18,6 +18,7 @@ composition of linear maps and activations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,6 +125,14 @@ def build_wrap_permutation(n: int) -> AffineOperator:
     return AffineOperator(dim, tuple(rows), 0)
 
 
+@lru_cache(maxsize=16)
+def _wrap_pair(n: int) -> tuple[AffineOperator, AffineOperator]:
+    """(W, W^-1) for n x n grids, built once per n; both are immutable."""
+    w = build_wrap_permutation(n)
+    return w, AffineOperator(w.dim, tuple(gf2.transpose(list(w.rows), w.dim)),
+                             0)
+
+
 def build_full_step_operator(grid) -> AffineOperator:
     """Exact operator for two half-steps (aligned, then offset on a torus).
 
@@ -135,8 +144,7 @@ def build_full_step_operator(grid) -> AffineOperator:
     g = validate_grid(grid)
     n = g.shape[0]
     b_t = build_phase_operator(g)
-    w = build_wrap_permutation(n)
-    w_inv = AffineOperator(w.dim, tuple(gf2.transpose(list(w.rows), w.dim)), 0)
+    w, w_inv = _wrap_pair(n)
     intermediate = apply_operator(w, apply_operator(b_t, vectorize_zigzag(g)))
     b_half = build_phase_operator(devectorize_zigzag(intermediate, n))
     return compose(w_inv, compose(b_half, compose(w, b_t)))

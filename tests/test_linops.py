@@ -166,6 +166,26 @@ class TestFullStepOperator:
         op = build_full_step_operator(ca.random_grid(8, 0.5, 123))
         assert operator_is_invertible(op)
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 32])
+    def test_cached_wrap_pair_gives_the_freshly_built_operator(self, n):
+        """W and W^-1 are built once per n; every operator, on the first
+        call for n and after, equals the product with a fresh W."""
+        for seed in range(3):
+            g = ca.random_grid(n, 0.5, seed)
+            w = build_wrap_permutation(n)
+            w_inv = AffineOperator(
+                w.dim, tuple(gf2.transpose(list(w.rows), w.dim)), 0)
+            b_t = build_phase_operator(g)
+            mid = apply_operator(w, apply_operator(b_t, vectorize_zigzag(g)))
+            b_half = build_phase_operator(devectorize_zigzag(mid, n))
+            want = compose(w_inv, compose(b_half, compose(w, b_t)))
+            got = build_full_step_operator(g)
+            assert (got.dim, got.rows, got.bias) == \
+                (want.dim, want.rows, want.bias)
+
+    def test_wrap_permutation_itself_is_built_per_call(self):
+        assert build_wrap_permutation(4) is not build_wrap_permutation(4)
+
 
 @st.composite
 def near_dumps(draw):

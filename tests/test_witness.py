@@ -1,12 +1,23 @@
 """Lowering networks in block form to affine stages with ReLU markers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from blockca.ca import EdgeMode, Phase, random_grid
-from blockca.learn import build_model, block_form
+from blockca.ca import Direction, EdgeMode, Phase, random_grid, random_grids
+from blockca.learn import (
+    TrainConfig,
+    TrainingDiverged,
+    apply_model_binary,
+    block_form,
+    build_model,
+    generate_dataset,
+    train,
+)
 from blockca.learn.models import blockwise
 from blockca.learn.witness import (
+    WITNESS_ROWS,
     binarize_stages,
     lower_network,
     single_step_witness,
@@ -162,3 +173,141 @@ def test_two_step_witness_of_empty_stack_has_no_margin():
     net_offset = build_model(Phase.OFFSET, EdgeMode.TORUS_WRAP, seed=53)
     with pytest.raises(ValueError, match="no margin exists on an empty set"):
         two_step_witness(net_aligned, net_offset, np.zeros((0, 8, 8)))
+
+
+def _stage_loop(stages, x):
+    """All rows through every stage at once: the reference for the row
+    blocks of witness_logits."""
+    for stage in stages:
+        if stage[0] == "affine":
+            _, mat, bias = stage
+            x = x @ mat.T + bias
+        else:
+            x = np.maximum(x, 0.0)
+    return x
+
+
+def _assert_matches_loop(stages, x):
+    before = x.copy()
+    got = witness_logits(stages, x)
+    want = _stage_loop(stages, x)
+    assert np.array_equal(x, before)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("rows", [0, 1, WITNESS_ROWS - 1, WITNESS_ROWS,
+                                  WITNESS_ROWS + 1, 2 * WITNESS_ROWS + 3])
+@pytest.mark.parametrize("bypass", [False, True])
+def test_witness_logits_row_blocks_match_one_pass(rows, bypass):
+    stages = lower_network(build_model(Phase.OFFSET, EdgeMode.TORUS_WRAP,
+                                       bypass_endpoints=bypass, seed=61))
+    x = np.random.default_rng(rows).normal(size=(rows, 4))
+    _assert_matches_loop(stages, x)
+
+
+def test_witness_logits_of_one_vector():
+    stages = lower_network(build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
+                                       seed=67))
+    x = np.array([1.0, 0.0, 1.0, 1.0])
+    assert witness_logits(stages, x).shape == (4,)
+    _assert_matches_loop(stages, x)
+
+
+@pytest.mark.parametrize("rows", [3, 2 * WITNESS_ROWS + 3])
+def test_leading_relu_leaves_the_input_unchanged(rows):
+    """A first ReLU must not clip the caller's array in place, with or
+    without affine stages after it."""
+    lowered = lower_network(build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
+                                        seed=71))
+    x = np.random.default_rng(73).normal(size=(rows, 4))
+    for stages in ([("relu",), *lowered], [("relu",)], [("relu",)] * 2, []):
+        _assert_matches_loop(stages, x)
+
+
+@pytest.fixture(scope="module")
+def trained_nets():
+    """One briefly trained network per partition: far from exact, so their
+    outputs on random grids are neither all 0 nor all 1."""
+    nets = []
+    for i, (phase, edge) in enumerate(VARIANTS):
+        data = generate_dataset(8, 400, Direction.FORWARD, phase, edge,
+                                seed=70 + i)
+        _, net = train(build_model(phase, edge, seed=80 + i), data,
+                       TrainConfig(epochs=6, batch_size=16, seed=90 + i),
+                       0.25)
+        nets.append(net)
+    return nets
+
+
+# 80 grids of 16x16 hold 5120 aligned blocks and 6480 padded ones, so the
+# witnesses run over three or four row slices.
+SPANNING = random_grids(80, 16, 0.5, 59)
+
+
+@pytest.mark.parametrize("index", range(len(VARIANTS)))
+def test_single_step_witness_over_several_row_blocks(trained_nets, index):
+    net = trained_nets[index]
+    want = apply_model_binary(net, SPANNING)
+    assert 0 < want.mean() < 1
+    assert np.array_equal(single_step_witness(net, SPANNING), want)
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_two_step_witness_over_several_row_blocks(trained_nets, index):
+    aligned, offset = trained_nets[0], trained_nets[index]
+    want = apply_model_binary(offset, apply_model_binary(aligned, SPANNING))
+    assert 0 < want.mean() < 1
+    got, margin = two_step_witness(aligned, offset, SPANNING)
+    assert margin > 0 and np.array_equal(got, want)
+
+
+def _poisoned(phase, edge, seed, value):
+    """A build_model network with one encode weight set to `value`."""
+    net = build_model(phase, edge, seed=seed)
+    block_form(net)[1].layers[0].kernel.weights[0, 0, 0, 0] = value
+    return net
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_single_step_logits_raise(value):
+    net = _poisoned(Phase.ALIGNED, EdgeMode.TORUS_WRAP, 1, value)
+    grids = random_grids(3, 8, 0.5, 0)
+    # inf * 0 warns inside the matmul; the raise is what is checked.
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingDiverged, match="non-finite"):
+            single_step_witness(net, grids)
+        with pytest.raises(TrainingDiverged):
+            apply_model_binary(net, grids)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_two_step_logits_raise(value):
+    grids = random_grids(3, 8, 0.5, 0)
+    aligned = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=1)
+    offset = build_model(Phase.OFFSET, EdgeMode.TORUS_WRAP, seed=2)
+    bad_aligned = _poisoned(Phase.ALIGNED, EdgeMode.TORUS_WRAP, 1, value)
+    bad_offset = _poisoned(Phase.OFFSET, EdgeMode.TORUS_WRAP, 2, value)
+    two_step_witness(aligned, offset, grids)
+    # z1 is checked before its margin is taken, z2 before it is thresholded.
+    for first, second in [(bad_aligned, offset), (aligned, bad_offset)]:
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(TrainingDiverged, match="non-finite"):
+            two_step_witness(first, second, grids)
+
+
+def test_two_step_witness_peak_memory_is_a_few_stacks():
+    """Stage temporaries are bounded by the row slices, so the traced peak
+    stays within 8 float64 copies of the stack; running every stage over
+    all 64000 block rows at once peaks near 24 copies."""
+    grids = random_grids(1000, 16, 0.5, 83)
+    aligned = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=89)
+    offset = build_model(Phase.OFFSET, EdgeMode.TORUS_WRAP, seed=97)
+    tracemalloc.start()
+    try:
+        two_step_witness(aligned, offset, grids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grids.size * 8

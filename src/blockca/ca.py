@@ -12,6 +12,9 @@ Edge handling for the offset partition is either torus wraparound (blocks
 crossing an edge are glued to the opposite side) or a zero-pad-then-crop
 scheme.  Cropping discards information, so inverse stepping is only
 defined for the torus mode.
+
+Here grids are cut into 2x2 blocks (nn and linops keep their own references):
+apply_rule and map_blocks run a block map on every block of a partition.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ class GridFormatError(ValueError):
     """Raised when grid text cannot be parsed."""
 
 
+def _blocks(g: np.ndarray) -> np.ndarray:
+    """(..., n/2, n/2, 2, 2) view of a contiguous (..., n, n) stack, axes
+    (block row, block column, row in block, column in block)."""
+    *lead, h, w = g.shape
+    return g.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
+
+
 def block_codes(grids) -> np.ndarray:
     """4-bit code of every aligned 2x2 block of a (..., n, n) stack of binary
     grids, as a (..., n/2, n/2) uint8 array.
@@ -55,11 +65,9 @@ def block_codes(grids) -> np.ndarray:
     g = np.asarray(grids, dtype=np.uint8)
     if g.ndim < 2 or g.shape[-1] % 2 or g.shape[-2] % 2:
         raise ValueError(f"grid sides must be even, got shape {g.shape}")
-    *lead, h, w = g.shape
-    # Axes (..., block row, row in block, block column, column in block).
-    q = g.reshape(*lead, h // 2, 2, w // 2, 2)
-    return q[..., 0, :, 0] + 2 * q[..., 0, :, 1] \
-        + 4 * q[..., 1, :, 0] + 8 * q[..., 1, :, 1]
+    q = _blocks(g)
+    return q[..., 0, 0] + 2 * q[..., 0, 1] + 4 * q[..., 1, 0] \
+        + 8 * q[..., 1, 1]
 
 
 def blocks_from_codes(codes) -> np.ndarray:
@@ -67,12 +75,13 @@ def blocks_from_codes(codes) -> np.ndarray:
     (..., 2h, 2w) uint8 grids whose aligned blocks carry them."""
     c = np.asarray(codes, dtype=np.uint8)
     *lead, h, w = c.shape
-    bits = np.empty((*lead, h, 2, w, 2), dtype=np.uint8)
-    bits[..., 0, :, 0] = c & 1
-    bits[..., 0, :, 1] = (c >> 1) & 1
-    bits[..., 1, :, 0] = (c >> 2) & 1
-    bits[..., 1, :, 1] = c >> 3
-    return bits.reshape(*lead, 2 * h, 2 * w)
+    grids = np.empty((*lead, 2 * h, 2 * w), dtype=np.uint8)
+    q = _blocks(grids)
+    q[..., 0, 0] = c & 1
+    q[..., 0, 1] = (c >> 1) & 1
+    q[..., 1, 0] = (c >> 2) & 1
+    q[..., 1, 1] = c >> 3
+    return grids
 
 
 # Every 2x2 block, one per code: ALL_BLOCKS[c] is the block of code c.
@@ -160,6 +169,20 @@ def apply_rule(grids: np.ndarray, phase: Phase, edge: EdgeMode,
     frame = to_frame(grids, phase, edge)
     return from_frame(blocks_from_codes(table[block_codes(frame)]),
                       phase, edge)
+
+
+def map_blocks(x: np.ndarray, phase: Phase, edge: EdgeMode, fn) -> np.ndarray:
+    """Apply a per-block map to every block of the partition (phase, edge)
+    of a (..., n, n) stack: `fn` takes the (blocks, 4) rows of cells (TL,
+    TR, BL, BR) of to_frame(x) and returns (blocks, 4) rows, which go back
+    into their blocks and through from_frame.  The result has x's shape
+    and the dtype of fn's rows."""
+    frame = to_frame(x, phase, edge)
+    rows = fn(_blocks(frame).reshape(-1, 4))
+    out = np.empty(frame.shape, rows.dtype)
+    _blocks(out)[...] = rows.reshape(_blocks(frame).shape)
+    del rows  # fn's rows are not held while from_frame copies
+    return from_frame(out, phase, edge)
 
 
 def step(grid, phase: Phase = Phase.ALIGNED,

@@ -117,8 +117,7 @@ def _train_config(args) -> TrainConfig:
         adam_beta1=args.adam_beta1, adam_beta2=args.adam_beta2,
         adam_epsilon=args.adam_epsilon)
     return TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                       optimizer=optimizer, seed=args.seed,
-                       bypass_endpoints=getattr(args, "bypass", False))
+                       optimizer=optimizer, seed=args.seed)
 
 
 def _write_run(args, command: str, history, net, **manifest) -> None:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ca import EdgeMode, Phase, phase_at, random_grids, step
+from ..ca import Direction, EdgeMode, Phase, phase_at, random_grids, step
+from .data import rule_map
 from .models import block_form, build_model
 from .rollout import apply_model_binary, tabulate
 from .train import TrainConfig, block_keys, fit, split_holdout
@@ -26,10 +27,8 @@ from .train import TrainConfig, block_keys, fit, split_holdout
 
 def exact_phase_step(phase: Phase):
     """Grid map applying one exact half-step on the torus to (count, n, n)
-    grids."""
-    def fn(grids: np.ndarray) -> np.ndarray:
-        return step(grids, phase)
-    return fn
+    grids: data.rule_map of the forward step."""
+    return rule_map(Direction.FORWARD, phase, EdgeMode.TORUS_WRAP)
 
 
 def exact_full_step(grids: np.ndarray) -> np.ndarray:

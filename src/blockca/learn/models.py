@@ -10,14 +10,14 @@ exact automaton.
 Every such network maps each 2x2 block of its partition on its own, so its
 whole behaviour is that of its core on the 16 block codes; block_form
 splits a network into its partition (see ca.to_frame) and that core, and
-blockwise maps every block of that partition.
+ca.map_blocks applies a map of one block to every block of that partition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..ca import ALL_BLOCKS, EdgeMode, Phase, from_frame, to_frame
+from ..ca import ALL_BLOCKS, EdgeMode, Phase
 from ..nn.layers import (
     BypassLayer,
     ConvLayer,
@@ -130,17 +130,3 @@ def code_forward(core: Network):
         raise ValueError(f"network maps the 16 blocks {CODE_BATCH.shape} to "
                          f"{out.shape}, not one channel per block")
     return out, caches
-
-
-def blockwise(partition, fn, x: np.ndarray) -> np.ndarray:
-    """Apply a per-block map to every block of a partition (Phase, EdgeMode)
-    of a (..., n, n) stack: ca.to_frame, then `fn` from (blocks, 4) rows of
-    cells (TL, TR, BL, BR) to (blocks, 4) rows, then ca.from_frame."""
-    frame = to_frame(x, *partition)
-    m = frame.shape[-1]
-    h = m // 2
-    # Axes (grid, block row, block column, row in block, column in block).
-    rows = frame.reshape(-1, h, 2, h, 2).transpose(0, 1, 3, 2, 4)
-    z = fn(rows.reshape(-1, 4)).reshape(-1, h, h, 2, 2)
-    z = z.transpose(0, 1, 3, 2, 4).reshape(frame.shape)
-    return from_frame(z, *partition)

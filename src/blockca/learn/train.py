@@ -7,8 +7,8 @@ Each sample is read as its row of 12-bit block keys (see block_keys), and
 supervised training packs the keys of its whole dataset once (see
 pack_keys); each step counts the keys of its minibatch and runs the
 network's core once on the 16 codes instead of on the whole batch, and
-held-out evaluation scores the core's 16-code table against the same keys.
-Dense backprop (Network.backward) stays as the reference.
+held-out evaluation scores the same keys: the loss from the core's 16-code
+table, every bit from its rule.  Dense backprop stays as the reference.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ HISTORY_CSV_HEADER = "epoch,train_loss,test_loss,cell_accuracy,exact_grid_rate"
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; only commute_experiment reads bypass_endpoints."""
+
     epochs: int = 50
     batch_size: int = 32
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -86,25 +88,27 @@ class TrainHistory:
 
 
 def evaluate_tensors(model, keys: np.ndarray) -> EvalResult:
-    """Thresholded-at-0.5 cell accuracy, exact-grid rate and mean loss of a
-    grid map against the (count, blocks) block keys of its grids (see
-    block_keys), packed in its partition from the grids it reads, as
-    evaluate does.
+    """Cell accuracy, exact-grid rate and mean loss of a grid map against
+    the (count, blocks) block keys of its grids (see block_keys), packed in
+    its partition from the grids it reads, as evaluate does.
 
     The map is scored from its 16-code table (see rollout.tabulate): the
-    (code, cell, target bit) counts of the keys give the loss and the cell
-    accuracy, and the table of block keys that hold a wrong cell gives the
-    exact-grid rate.  A non-finite table raises TrainingDiverged.
+    (code, cell, target bit) counts of the keys give the loss from the
+    float rows and the cell accuracy from the bits of `rule`, and a block
+    is wrong where rule[input code] and the target code differ in a scored
+    cell.  A non-finite table raises TrainingDiverged.
     """
     if len(keys) == 0:
         raise ValueError("cannot evaluate on an empty set")
-    table = tabulate(model).table
+    mapped = tabulate(model)
     counts = key_counts(keys)
     cells = int(counts.sum())
-    loss, _ = counted_bce_loss(table, counts[..., 1], counts[..., 0], cells)
-    hit = table >= 0.5
+    loss, _ = counted_bce_loss(mapped.table, counts[..., 1], counts[..., 0],
+                               cells)
+    hit = _CELL_BITS[mapped.rule]
     right = counts[..., 1][hit].sum() + counts[..., 0][~hit].sum()
-    exact = ~_wrong_blocks(hit)[keys].any(axis=1)
+    wrong = (mapped.rule[keys >> 8] ^ keys >> 4) & keys & 15
+    exact = ~wrong.any(axis=1)
     return EvalResult(cell_accuracy=int(right) / cells,
                       exact_grid_rate=int(exact.sum()) / len(keys),
                       mean_loss=loss)
@@ -112,9 +116,9 @@ def evaluate_tensors(model, keys: np.ndarray) -> EvalResult:
 
 def evaluate(model, dataset: Dataset) -> EvalResult:
     """evaluate_tensors of a grid map on a whole dataset."""
-    table = tabulate(model)
+    mapped = tabulate(model)
     return evaluate_tensors(model, pack_keys(
-        table.partition, table.frame, dataset.inputs, dataset.targets))
+        mapped.partition, mapped.frame(dataset.inputs), dataset.targets))
 
 
 # _CELL_BITS[c, k] is cell k (2 * row in block + column in block) of the
@@ -125,14 +129,6 @@ _CELL_BITS = ALL_BLOCKS.reshape(16, 4).astype(bool)
 _SCORES = (_CELL_BITS[None, :, :, None]
            * (_CELL_BITS[:, None, :, None] == np.arange(2))
            ).reshape(256, 8).astype(np.float64)
-
-
-def _wrong_blocks(hit: np.ndarray) -> np.ndarray:
-    """(4096,) bools by block key (see block_keys): whether a scored cell of
-    the block has a predicted bit, hit[input code], unlike its target."""
-    wrong = ((hit[:, None, None] != _CELL_BITS[None, :, None])
-             & _CELL_BITS[None, None, :])
-    return wrong.any(axis=-1).ravel()
 
 
 def _check_shapes(inputs, targets) -> None:
@@ -164,21 +160,17 @@ def block_keys(partition, inputs, targets) -> np.ndarray:
 KEY_CHUNK = 1000
 
 
-def pack_keys(partition, read, inputs, targets) -> np.ndarray:
-    """block_keys of `partition` of read(inputs) against `targets`, two
-    (count, n, n) grid stacks, packed KEY_CHUNK grids at a time into one
-    (count, blocks) array.
-
-    `read` maps a chunk of inputs to the validated grids a map reads (see
-    rollout.BlockTable.frame); targets are checked by ca.validate_grids.
-    """
+def pack_keys(partition, inputs, targets) -> np.ndarray:
+    """block_keys of `partition` of two (count, n, n) grid stacks, packed
+    KEY_CHUNK grids at a time into one (count, blocks) array; each chunk
+    of both stacks is checked by ca.validate_grids."""
     _check_shapes(inputs, targets)
     side = to_frame(np.zeros(np.shape(inputs)[-2:], np.uint8),
                     *partition).shape[-1]
     keys = np.empty((len(inputs), (side // 2) ** 2), np.uint16)
     for lo in range(0, len(inputs), KEY_CHUNK):
         hi = lo + KEY_CHUNK
-        keys[lo:hi] = block_keys(partition, read(inputs[lo:hi]),
+        keys[lo:hi] = block_keys(partition, validate_grids(inputs[lo:hi]),
                                  validate_grids(targets[lo:hi]))
     return keys
 
@@ -272,8 +264,7 @@ def train(model: Network, dataset: Dataset, config: TrainConfig,
     if len(dataset) < 10:
         raise ValueError("dataset must hold at least 10 pairs")
     n_test = split_holdout(len(dataset), holdout_fraction)
-    keys = pack_keys(block_form(model)[0], validate_grids, dataset.inputs,
-                     dataset.targets)
+    keys = pack_keys(block_form(model)[0], dataset.inputs, dataset.targets)
     history = fit(model, keys.__getitem__, len(dataset) - n_test, n_test,
                   config, np.random.default_rng(config.seed))
     return history, model

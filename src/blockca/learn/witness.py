@@ -3,12 +3,12 @@
 Every rule-learning network maps each 2x2 block of its partition on its own
 (see models.block_form), so on an n x n grid it is P^T (I_blocks (x) f) P:
 P is ca.to_frame of its partition followed by cutting the frame into
-blocks, and f is its core on one 2x2 block.  The core's layers are
-convolutions, transposed convolutions and ReLUs, so f lowers to a short
-list of (matrix, bias) stages with ReLU markers in between, 4 -> 16 -> 32
--> 4 whatever n is.  The final sigmoid is monotone and is replaced by
-thresholding the logits at zero; P^T's unshift or crop then acts on
-logits, which commutes with the elementwise sigmoid.
+blocks, f is its core on one 2x2 block, and ca.map_blocks runs all three.
+The core's layers are convolutions, transposed convolutions and ReLUs, so
+f lowers to a short list of (matrix, bias) stages with ReLU markers in
+between, 4 -> 16 -> 32 -> 4 whatever n is.  The final sigmoid is monotone
+and is replaced by thresholding the logits at zero; P^T's unshift or crop
+then acts on logits, which commutes with the elementwise sigmoid.
 
 Chaining two lowered half-step networks needs binary intermediate values.
 A clamp built from two extra affine+ReLU stages (u = relu(a*z), then
@@ -16,7 +16,7 @@ u - relu(u - 1)) recovers exact bits whenever the first network's logits
 keep a positive margin, so the two-half-step evolution is exhibited as one
 finite composition of linear maps and ReLU.  The clamp acts per cell and
 maps 0 to 0, so it commutes with the offset network's torus shift and
-zero padding and runs blockwise in front of that network's core.
+zero padding and runs on each block in front of that network's core.
 
 witness_logits takes one row per 2x2 block and runs the stages over
 near-equal slices of at most WITNESS_ROWS rows, writing the last affine
@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from ..ca import validate_grids
+from ..ca import map_blocks, validate_grids
 from ..linops import conv_to_matrix, deconv_to_matrix
 from ..nn.layers import (
     ConvLayer,
@@ -43,7 +43,7 @@ from ..nn.layers import (
     ReLULayer,
     SigmoidLayer,
 )
-from .models import block_form, blockwise
+from .models import block_form
 from .rollout import TrainingDiverged
 
 # Block rows per pass of witness_logits: a (rows, 32) float64 stage
@@ -117,7 +117,12 @@ def witness_logits(stages, flat: np.ndarray) -> np.ndarray:
     return out.reshape(*x.shape[:-1], out.shape[-1])
 
 
-def _finite(z: np.ndarray) -> np.ndarray:
+def _block_logits(net: Network, x: np.ndarray, head=()) -> np.ndarray:
+    """Logits of the stages `head` then the lowered core of `net` on every
+    block of the network's partition of the float stack x (see
+    ca.map_blocks); a non-finite logit raises TrainingDiverged."""
+    stages = [*head, *lower_network(net)]
+    z = map_blocks(x, *block_form(net)[0], partial(witness_logits, stages))
     if not np.isfinite(z).all():
         raise TrainingDiverged("non-finite witness logits")
     return z
@@ -140,12 +145,10 @@ def binarize_stages(dim: int, alpha: float) -> list[tuple]:
 
 
 def single_step_witness(net: Network, grids) -> np.ndarray:
-    """Predict a (..., n, n) stack of grids through the lowered stages,
-    blockwise; logits thresholded at 0.  Non-finite logits raise
-    TrainingDiverged."""
-    x = validate_grids(grids).astype(np.float64)
-    z = _finite(blockwise(block_form(net)[0],
-                          partial(witness_logits, lower_network(net)), x))
+    """Predict a (..., n, n) stack of grids through the lowered stages on
+    every block (see ca.map_blocks); logits thresholded at 0.  Non-finite
+    logits raise TrainingDiverged."""
+    z = _block_logits(net, validate_grids(grids).astype(np.float64))
     return (z >= 0.0).astype(np.uint8)
 
 
@@ -162,13 +165,9 @@ def two_step_witness(net_aligned: Network, net_offset: Network,
     x = validate_grids(grids).astype(np.float64)
     if x.size == 0:
         raise ValueError("no margin exists on an empty set of grids")
-    z1 = _finite(blockwise(block_form(net_aligned)[0],
-                           partial(witness_logits, lower_network(net_aligned)),
-                           x))
+    z1 = _block_logits(net_aligned, x)
     margin = float(np.abs(z1).min())
     if margin == 0.0:
         raise ValueError("aligned logits touch zero; no clamp scale exists")
-    chain = binarize_stages(4, 2.0 / margin) + lower_network(net_offset)
-    z2 = _finite(blockwise(block_form(net_offset)[0],
-                           partial(witness_logits, chain), z1))
+    z2 = _block_logits(net_offset, z1, binarize_stages(4, 2.0 / margin))
     return (z2 >= 0.0).astype(np.uint8), margin

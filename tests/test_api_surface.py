@@ -1,17 +1,22 @@
-"""The names the benchmark tracer and the package exports look up exist.
+"""The names the benchmark and the package exports look up exist.
 
 `bench/spans.py` wraps functions and layer methods by name when a traced
-benchmark run starts; a name that no longer resolves would only fail there.
-The module is loaded from its file and only its tables are read.
+benchmark run starts, and `bench/workloads.py` drives the package through
+its module attributes; a name that no longer resolves would only fail
+there.  spans.py is loaded from its file and only its tables are read;
+workloads.py is only parsed.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+SPANS_PATH = BENCH_DIR / "spans.py"
+WORKLOADS_PATH = BENCH_DIR / "workloads.py"
 
 
 def load_spans():
@@ -46,4 +51,52 @@ def test_traced_optimizer_defines_step():
 def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def is_module(name: str) -> bool:
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
+
+
+def workloads_reads():
+    """(module aliases, (module, attribute) pairs) of bench/workloads.py:
+    the blockca modules it binds to names, by `from blockca import ...` or
+    `NAME = importlib.import_module("blockca....")`, and every attribute it
+    reads or sets on one of those names or imports from a blockca module."""
+    tree = ast.parse(WORKLOADS_PATH.read_text(encoding="utf-8"))
+    aliases, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").startswith("blockca"):
+            for alias in node.names:
+                reads.add((node.module, alias.name))
+                name = f"{node.module}.{alias.name}"
+                if is_module(name):
+                    aliases[alias.asname or alias.name] = name
+        elif isinstance(node, ast.Assign) and \
+                isinstance(node.value, ast.Call) and \
+                ast.unparse(node.value.func) == "importlib.import_module":
+            aliases[node.targets[0].id] = node.value.args[0].value
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in aliases:
+            reads.add((aliases[node.value.id], node.attr))
+    return aliases, sorted(reads)
+
+
+def test_benchmark_workloads_read_only_names_that_exist():
+    aliases, reads = workloads_reads()
+    assert aliases == {
+        "ca": "blockca.ca", "learn": "blockca.learn",
+        "linops": "blockca.linops", "nn": "blockca.nn",
+        "TRAIN_MODULE": "blockca.learn.train",
+        "OPTIM_MODULE": "blockca.nn.optim"}
+    assert ("blockca.learn.train", "split_holdout") in reads
+    assert ("blockca.learn", "exact_phase_step") in reads
+    missing = [f"{module}.{attr}" for module, attr in reads
+               if not hasattr(importlib.import_module(module), attr)]
     assert missing == []

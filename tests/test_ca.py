@@ -203,6 +203,37 @@ class TestFrames:
             ca.step(grids, phase, edge))
 
 
+class TestMapBlocks:
+    """map_blocks on every 4x4 grid, in every partition."""
+
+    @pytest.mark.parametrize("phase,edge", PARTITIONS)
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_identity_rows_return_the_input(self, phase, edge, dtype):
+        grids = all_4x4_grids().astype(dtype).reshape(16, 4096, 4, 4)
+        out = ca.map_blocks(grids, phase, edge, lambda rows: rows)
+        assert out.dtype == dtype
+        assert np.array_equal(out, grids)
+
+    @pytest.mark.parametrize("phase,edge", PARTITIONS)
+    def test_output_dtype_follows_fn(self, phase, edge):
+        grids = all_4x4_grids()
+        out = ca.map_blocks(grids, phase, edge, lambda rows: rows * 0.5)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, grids * 0.5)
+
+    @pytest.mark.parametrize("phase,edge", PARTITIONS)
+    def test_block_table_rows_give_the_step(self, phase, edge):
+        # Row (TL, TR, BL, BR) has code TL + 2 TR + 4 BL + 8 BR; its image
+        # is the row of bits of BLOCK_TABLE at that code.
+        def rule(rows):
+            image = ca.BLOCK_TABLE[rows @ (1 << np.arange(4))]
+            return ((image[:, None] >> np.arange(4)) & 1).astype(np.uint8)
+        grids = all_4x4_grids()
+        out = ca.map_blocks(grids, phase, edge, rule)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, ca.step(grids, phase, edge))
+
+
 class TestStep:
     @pytest.mark.parametrize("phase,edge,direction", STEP_CASES)
     @pytest.mark.parametrize("grids", [

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from blockca.ca import (BLOCK_TABLE, Direction, EdgeMode, Phase, apply_rule,
-                        block_codes, evolve, random_grid, random_grids, step,
-                        to_frame, from_frame)
+                        block_codes, evolve, map_blocks, random_grid,
+                        random_grids, step, to_frame, from_frame)
 from blockca.learn import (
     TrainConfig,
     apply_model_binary,
@@ -25,7 +25,7 @@ from blockca.learn import (
     verify_commuting_solutions,
 )
 from blockca.learn.data import verify_dataset
-from blockca.learn.models import ALIGNED_PARTITION, blockwise
+from blockca.learn.models import ALIGNED_PARTITION
 from blockca.learn.rollout import tabulate
 from blockca.learn.train import KEY_CHUNK, block_keys, fit, pack_keys
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
@@ -305,7 +305,7 @@ class TestPackKeys:
         x = random_grids(count, 4, 0.5, count)
         t = step(x, *partition)
         want = block_keys(partition, x, t)
-        got = pack_keys(partition, lambda g: g, x, t)
+        got = pack_keys(partition, x, t)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -490,10 +490,34 @@ class TestRuleTable:
         assert mapped.partition == (Phase.ALIGNED, EdgeMode.TORUS_WRAP)
         assert np.array_equal(mapped.rule, np.arange(16))
 
+    @pytest.mark.parametrize("phase,edge", [
+        (Phase.ALIGNED, EdgeMode.TORUS_WRAP),
+        (Phase.OFFSET, EdgeMode.TORUS_WRAP),
+        (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP)])
+    def test_rule_scores_equal_its_grids_on_every_4x4_grid(self, phase, edge):
+        """For the rule one bit away from BLOCK_TABLE at each (code, cell),
+        evaluate_tensors equals a direct comparison of the network's
+        binary grids with the exact step; in pad mode the ring cells of
+        the frame must not count."""
+        x = all_4x4_grids()
+        t = step(x, phase, edge)
+        keys = pack_keys((phase, edge), x, t)
+        for code in range(16):
+            for cell in range(4):
+                table = BLOCK_TABLE.copy()
+                table[code] ^= 1 << cell
+                net = rule_network(phase, edge, table)
+                match = apply_model_binary(net, x) == t
+                rate = int(match.all(axis=(1, 2)).sum()) / len(x)
+                result = evaluate_tensors(net, keys)
+                assert 0.0 < rate < 1.0
+                assert result.exact_grid_rate == rate
+                assert result.cell_accuracy == int(match.sum()) / match.size
+
 
 class TestBlockPrediction:
-    """The core's 16-code table, read blockwise on the network's partition,
-    reproduces the dense whole-grid Network.predict."""
+    """The core's 16-code table, read on every block of the network's
+    partition, reproduces the dense whole-grid Network.predict."""
 
     @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
     @pytest.mark.parametrize("grids", [
@@ -511,7 +535,7 @@ class TestBlockPrediction:
 
         def lookup(rows):
             return mapped.table[block_codes(rows.reshape(-1, 2, 2)).ravel()]
-        pred = blockwise(mapped.partition, lookup, x)
+        pred = map_blocks(x, *mapped.partition, lookup)
         assert np.abs(pred - dense).max() <= 1e-15
 
     @pytest.mark.parametrize("layers,named", [
@@ -562,7 +586,7 @@ def read_keys(model, x, t):
     """The block keys evaluate packs for a grid map: those of the grids
     it reads, in its partition."""
     table = tabulate(model)
-    return pack_keys(table.partition, table.frame, x, t)
+    return pack_keys(table.partition, table.frame(x), t)
 
 
 class TestBlockEvaluation:

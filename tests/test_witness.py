@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blockca.ca import Direction, EdgeMode, Phase, random_grid, random_grids
+from blockca.ca import (Direction, EdgeMode, Phase, map_blocks, random_grid,
+                        random_grids)
 from blockca.learn import (
     TrainConfig,
     TrainingDiverged,
@@ -15,7 +16,6 @@ from blockca.learn import (
     generate_dataset,
     train,
 )
-from blockca.learn.models import blockwise
 from blockca.learn.witness import (
     WITNESS_ROWS,
     binarize_stages,
@@ -66,9 +66,8 @@ def test_lowered_stages_reproduce_network_probabilities(phase, edge, bypass):
     stages = lower_network(net)
     for n in (4, 8):
         x = _grids(n, 6, 29)
-        z = blockwise(block_form(net)[0],
-                      lambda rows: witness_logits(stages, rows),
-                      x.astype(np.float64))
+        z = map_blocks(x.astype(np.float64), *block_form(net)[0],
+                       lambda rows: witness_logits(stages, rows))
         probs = net.predict(x[:, None].astype(np.float64))[:, 0]
         # the trailing geometry acts on logits; it commutes with the sigmoid
         assert np.abs(_sigmoid(z) - probs).max() <= 1e-10
@@ -102,9 +101,9 @@ def test_block_stages_expand_to_whole_grid_chain(phase, edge, bypass, n):
     assert {s[0] for s in chain} == {"affine", "relu"}
     x = _grids(n, 6, 41).astype(np.float64)
     dense = witness_logits(chain, x.reshape(6, -1))
-    block = blockwise(block_form(net)[0],
-                      lambda rows: witness_logits(stages, rows),
-                      x).reshape(6, -1)
+    block = map_blocks(x, *block_form(net)[0],
+                       lambda rows: witness_logits(stages, rows))
+    block = block.reshape(6, -1)
     assert np.abs(dense - block).max() <= 1e-10
 
 

@@ -16,7 +16,7 @@ from .train import (
     DEFAULT_TEST_COUNT,
     DEFAULT_DENSITY,
 )
-from .rollout import rollout, apply_model_binary
+from .rollout import rollout, apply_model_binary, tabulate
 from .commute import (
     exact_full_step,
     exact_phase_step,
@@ -37,8 +37,8 @@ __all__ = [
     "TrainHistory", "EpochRecord", "EvalResult", "TrainingDiverged",
     "train", "evaluate", "evaluate_tensors", "DEFAULT_GRID_SIZE",
     "DEFAULT_TRAIN_COUNT", "DEFAULT_TEST_COUNT", "DEFAULT_DENSITY",
-    "rollout", "apply_model_binary", "exact_full_step", "exact_phase_step",
-    "commute_experiment", "verify_commuting_solutions", "CommuteReport",
-    "CandidateResult", "lower_network", "witness_logits",
+    "rollout", "apply_model_binary", "tabulate", "exact_full_step",
+    "exact_phase_step", "commute_experiment", "verify_commuting_solutions",
+    "CommuteReport", "CandidateResult", "lower_network", "witness_logits",
     "single_step_witness", "two_step_witness",
 ]

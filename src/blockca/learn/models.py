@@ -86,10 +86,10 @@ def block_form(net: Network):
     leading WrapShiftLayer or Pad1Layer builds, or ALIGNED_PARTITION, and
     `core` a Network of the layers inside that frame.  The core is checked
     to be block-local: a 2x2 stride-2 conv, then 1x1 stride-1 convs and
-    pointwise layers around exactly one 2x2 stride-2 deconv.  So the
-    network's output on each block of the partition depends on that
-    block's 4-bit code alone.  Anything else raises ValueError naming the
-    offending layer.
+    pointwise layers around exactly one 2x2 stride-2 deconv, ending in its
+    only sigmoid, the head.  So the network's output on each block of the
+    partition depends on that block's 4-bit code alone.  Anything else
+    raises ValueError naming the offending layer.
     """
     layers = list(net.layers)
     lead = layers[0] if layers and type(layers[0]) in _LEADS else None
@@ -119,14 +119,21 @@ def block_form(net: Network):
     if not decoded:
         raise ValueError("no 2x2 stride-2 deconv returns the blocks to "
                          "cell resolution")
+    heads = [i for i, layer in enumerate(layers)
+             if isinstance(layer, SigmoidLayer)]
+    if heads != [len(layers) - 1]:
+        i = heads[0] if heads else len(layers) - 1
+        raise ValueError(f"layer {offset + i} ({layers[i].kind}) is not the "
+                         f"head: the core must end in its only sigmoid")
     return partition, Network(layers)
 
 
 def code_forward(core: Network):
-    """Forward pass of a block-form core (see block_form) on CODE_BATCH:
-    its (16, 1, 2, 2) output, row c that of block code c, and its caches."""
-    out, caches = core.forward(CODE_BATCH)
-    if out.shape != CODE_BATCH.shape:
+    """A block-form core (see block_form) run on CODE_BATCH: (logits, probs,
+    caches), (16, 1, 2, 2) before and after the head, row c for code c."""
+    logits, caches = Network(core.layers[:-1]).forward(CODE_BATCH)
+    if logits.shape != CODE_BATCH.shape:
         raise ValueError(f"network maps the 16 blocks {CODE_BATCH.shape} to "
-                         f"{out.shape}, not one channel per block")
-    return out, caches
+                         f"{logits.shape}, not one channel per block")
+    probs, cache = core.layers[-1].forward(logits)
+    return logits, probs, [*caches, cache]

@@ -12,8 +12,9 @@ from ..ca import (Direction, EdgeMode, apply_rule, block_codes, evolve,
 from ..nn.layers import Network
 from .models import ALIGNED_PARTITION, CODE_BATCH, block_form, code_forward
 
-# The identity grid map's table: row c holds the cells of block code c.
+# The identity map's table (row c: the cells of code c) and +-inf logits.
 IDENTITY_TABLE = CODE_BATCH.reshape(16, 4)
+IDENTITY_LOGITS = np.where(IDENTITY_TABLE > 0, np.inf, -np.inf)
 
 
 class TrainingDiverged(RuntimeError):
@@ -22,19 +23,21 @@ class TrainingDiverged(RuntimeError):
 
 class BlockTable(NamedTuple):
     """A grid map as one table read on every block of a partition: its
-    output on grids is row c of `table` (cells TL, TR, BL, BR) on each block
-    of code c of `partition`, a (Phase, EdgeMode), of `frame(grids)`, the
-    binary grids the table reads.  `rule` codes the thresholded rows."""
+    output on grids is row c of `table`, the sigmoid of `logits` (cells TL,
+    TR, BL, BR), on each block of code c of `partition`, a (Phase,
+    EdgeMode), of `frame(grids)`; `rule` codes the thresholded rows."""
 
     frame: Callable[[np.ndarray], np.ndarray]
     partition: tuple
+    logits: np.ndarray
     table: np.ndarray
     rule: np.ndarray
 
     def binary(self, grids: np.ndarray) -> np.ndarray:
         """The map's output on (count, n, n) grids, thresholded at 0.5, as
         uint8."""
-        return apply_rule(self.frame(grids), *self.partition, self.rule)
+        return apply_rule(validate_grids(self.frame(grids)), *self.partition,
+                          self.rule)
 
 
 def tabulate(model) -> BlockTable:
@@ -43,28 +46,29 @@ def tabulate(model) -> BlockTable:
     A grid map is a Network, whose output is its sigmoid probabilities, or
     a callable that takes and returns a (count, n, n) stack of binary
     grids; this is the one place that tells them apart.  A Network splits
-    by block_form: its table is its core run once on the 16 block codes,
-    read on its own partition of the validated grids, and a non-finite
-    table raises TrainingDiverged instead of being scored.  A callable is
+    by block_form: its logits and table are its core run once on the 16
+    block codes, read on its own partition of the grids, and a non-finite
+    logit raises TrainingDiverged instead of being scored.  A callable is
     called once per stack and is the identity table on its own output.
     """
     if isinstance(model, Network):
         partition, core = block_form(model)
-        table = code_forward(core)[0].reshape(16, 4)
-        if not np.isfinite(table).all():
+        logits, table = (a.reshape(16, 4) for a in code_forward(core)[:2])
+        if not np.isfinite(logits).all():
             raise TrainingDiverged("non-finite prediction")
-        frame = validate_grids
+        frame = np.asarray
     else:
-        partition, table = ALIGNED_PARTITION, IDENTITY_TABLE
+        partition = ALIGNED_PARTITION
+        logits, table = IDENTITY_LOGITS, IDENTITY_TABLE
 
         def frame(grids):
-            out = validate_grids(model(grids))
+            out = np.asarray(model(grids))
             if out.shape != grids.shape:
                 raise ValueError(f"grid map returned shape {out.shape} "
                                  f"for input shape {grids.shape}")
             return out
     rule = block_codes((table >= 0.5).reshape(16, 2, 2)).ravel()
-    return BlockTable(frame, partition, table, rule)
+    return BlockTable(frame, partition, logits, table, rule)
 
 
 def apply_model_binary(model, grids: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from ..nn.loss import counted_bce_loss
 from ..nn.optim import NetworkOptimizer, OptimizerConfig
 from .data import Dataset
 from .models import CODE_BATCH, block_form, code_forward
-from .rollout import TrainingDiverged, tabulate
+from .rollout import BlockTable, TrainingDiverged, tabulate
 
 DEFAULT_GRID_SIZE = 16
 DEFAULT_TRAIN_COUNT = 8000
@@ -87,20 +87,19 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_tensors(model, keys: np.ndarray) -> EvalResult:
-    """Cell accuracy, exact-grid rate and mean loss of a grid map against
-    the (count, blocks) block keys of its grids (see block_keys), packed in
-    its partition from the grids it reads, as evaluate does.
+def evaluate_tensors(mapped: BlockTable, keys: np.ndarray) -> EvalResult:
+    """Cell accuracy, exact-grid rate and mean loss of a grid map, given as
+    its BlockTable (see rollout.tabulate), against the (count, blocks)
+    block keys of its grids (see block_keys), packed in its partition from
+    the grids it reads, as evaluate does.
 
-    The map is scored from its 16-code table (see rollout.tabulate): the
-    (code, cell, target bit) counts of the keys give the loss from the
-    float rows and the cell accuracy from the bits of `rule`, and a block
-    is wrong where rule[input code] and the target code differ in a scored
-    cell.  A non-finite table raises TrainingDiverged.
+    The (code, cell, target bit) counts of the keys give the loss from the
+    float rows of `table` and the cell accuracy from the bits of `rule`,
+    and a block is wrong where rule[input code] and the target code differ
+    in a scored cell.
     """
     if len(keys) == 0:
         raise ValueError("cannot evaluate on an empty set")
-    mapped = tabulate(model)
     counts = key_counts(keys)
     cells = int(counts.sum())
     loss, _ = counted_bce_loss(mapped.table, counts[..., 1], counts[..., 0],
@@ -115,9 +114,9 @@ def evaluate_tensors(model, keys: np.ndarray) -> EvalResult:
 
 
 def evaluate(model, dataset: Dataset) -> EvalResult:
-    """evaluate_tensors of a grid map on a whole dataset."""
+    """evaluate_tensors of tabulate(model) on a whole dataset."""
     mapped = tabulate(model)
-    return evaluate_tensors(model, pack_keys(
+    return evaluate_tensors(mapped, pack_keys(
         mapped.partition, mapped.frame(dataset.inputs), dataset.targets))
 
 
@@ -192,7 +191,7 @@ def block_backward(core: Network, counts: np.ndarray) -> float:
     parameter gradients that Network.backward of that loss would leave in
     them.
     """
-    probs, caches = code_forward(core)
+    _, probs, caches = code_forward(core)
     loss, grad = counted_bce_loss(probs.reshape(16, 4), counts[..., 1],
                                   counts[..., 0], counts.sum())
     core.backward(grad.reshape(CODE_BATCH.shape), caches)
@@ -239,7 +238,7 @@ def fit(net: Network, keys, n_train: int, n_test: int, config: TrainConfig,
             loss_sum += loss * idx.size
         # A module-global call: bench/workloads.py's Gate replaces
         # evaluate_tensors here to end training at a held-out gate.
-        test = evaluate_tensors(net, keys(held_out))
+        test = evaluate_tensors(tabulate(net), keys(held_out))
         history.records.append(EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n_train,

@@ -41,7 +41,6 @@ from ..nn.layers import (
     DeconvLayer,
     Network,
     ReLULayer,
-    SigmoidLayer,
 )
 from .models import block_form
 from .rollout import TrainingDiverged
@@ -56,21 +55,14 @@ def lower_network(net: Network) -> list[tuple]:
     to [('affine', M, b) | ('relu',)] stages.
 
     The stages map the 4 cells of a block to its 4 logits; their shapes do
-    not depend on the grid size.  The core must end in a sigmoid, which is
-    dropped (callers threshold logits at 0).
+    not depend on the grid size.  block_form checks that the core ends in
+    its only sigmoid, the head, which is dropped (callers threshold logits
+    at 0).
     """
     _, core = block_form(net)
     stages = []
     shape = (1, 2, 2)  # one block; stages index its cells TL, TR, BL, BR
-    saw_sigmoid = False
-    for layer in core.layers:
-        if isinstance(layer, SigmoidLayer):
-            if saw_sigmoid:
-                raise ValueError("more than one sigmoid in the stack")
-            saw_sigmoid = True
-            continue
-        if saw_sigmoid:
-            raise ValueError(f"cannot lower {layer.kind} after the sigmoid")
+    for layer in core.layers[:-1]:
         # block_form's windows tile their input: stride equals kernel size.
         if isinstance(layer, ConvLayer):
             k = layer.kernel
@@ -83,8 +75,6 @@ def lower_network(net: Network) -> list[tuple]:
         elif isinstance(layer, ReLULayer):
             stages.append(("relu",))
         # block_form admits no other kind but BypassLayer, the identity.
-    if not saw_sigmoid:
-        raise ValueError("expected a sigmoid output head")
     return stages
 
 

@@ -14,6 +14,7 @@ from blockca.nn import (
     ConvLayer,
     DeconvLayer,
     Network,
+    ReLULayer,
     SigmoidLayer,
     load_network,
     save_network,
@@ -255,6 +256,29 @@ class TestTrainEvalRollout:
         assert main(["eval", "--checkpoint", str(ckpt), "--n", "8",
                      "--count", "10", "--density", "0", "--seed", "1"]) == 4
         assert "error: non-finite prediction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bias", [np.inf, -np.inf, np.nan])
+    def test_eval_of_non_finite_head_bias_exits_4(self, tmp_path, capsys,
+                                                   bias):
+        # An infinite logit thresholds to a constant grid; it must not be
+        # scored as a prediction.
+        net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=1)
+        net.layers[-2].kernel.bias[:] = bias
+        ckpt = tmp_path / "head.ckpt"
+        save_network(net, ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--n", "8",
+                     "--count", "10", "--seed", "1"]) == 4
+        assert "error: non-finite prediction" in capsys.readouterr().err
+
+    def test_eval_without_a_sigmoid_head_exits_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        ckpt = tmp_path / "headless.ckpt"
+        save_network(Network([ConvLayer.create(rng, 1, 2, 2, 2), ReLULayer(),
+                              DeconvLayer.create(rng, 2, 1, 2, 2)]), ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--n", "8",
+                     "--count", "10", "--seed", "1"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: layer 2 (deconv) is not the head")
 
     def test_rollout_of_nan_checkpoints_exits_4(self, tmp_path, capsys):
         ckpts = []

@@ -21,12 +21,14 @@ from blockca.learn import (
     exact_phase_step,
     generate_dataset,
     rollout,
+    tabulate,
     train,
     verify_commuting_solutions,
 )
 from blockca.learn.data import verify_dataset
 from blockca.learn.models import ALIGNED_PARTITION
-from blockca.learn.rollout import tabulate
+from blockca.learn.rollout import IDENTITY_TABLE
+from blockca.learn.witness import lower_network, witness_logits
 from blockca.learn.train import KEY_CHUNK, block_keys, fit, pack_keys
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
                         ReLULayer, SigmoidLayer, WrapShiftLayer,
@@ -35,6 +37,7 @@ from blockca.nn.optim import NetworkOptimizer, OptimizerConfig
 
 # The modules, not the functions that blockca.learn exports under their
 # names.
+ca_module = importlib.import_module("blockca.ca")
 rollout_module = importlib.import_module("blockca.learn.rollout")
 train_module = importlib.import_module("blockca.learn.train")
 
@@ -154,6 +157,13 @@ class TestBlockForm:
          "layer 3 (deconv)"),
         (lambda rng: block_core(rng)[:2], "no 2x2 stride-2 deconv"),
         (lambda rng: [], "layer 0 (none)"),
+        # The core must end in its only sigmoid, the head.
+        (lambda rng: block_core(rng)[:-1], "layer 4 (conv) is not the head"),
+        (lambda rng: block_core(rng, [SigmoidLayer()])[:-1],
+         "layer 2 (sigmoid) is not the head"),
+        (lambda rng: [WrapShiftLayer(), *block_core(rng, [SigmoidLayer()]),
+                      UnwrapShiftLayer()],
+         "layer 3 (sigmoid) is not the head"),
     ])
     def test_non_block_networks_are_rejected_by_name(self, layers, named):
         net = Network(layers(np.random.default_rng(0)))
@@ -490,6 +500,21 @@ class TestRuleTable:
         assert mapped.partition == (Phase.ALIGNED, EdgeMode.TORUS_WRAP)
         assert np.array_equal(mapped.rule, np.arange(16))
 
+    @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
+    def test_logits_are_the_lowered_stages_on_the_16_codes(self, phase, edge,
+                                                           bypass):
+        net = centred_model(phase, edge, bypass, seed=83)
+        want = witness_logits(lower_network(net), IDENTITY_TABLE)
+        assert np.abs(tabulate(net).logits - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("model", [
+        *[centred_model(*variant, seed=89) for variant in VARIANTS],
+        lambda g: g], ids=[*map(str, range(len(VARIANTS))), "callable"])
+    def test_table_is_the_sigmoid_of_the_logits(self, model):
+        mapped = tabulate(model)
+        probs = SigmoidLayer().forward(mapped.logits)[0]
+        assert probs.tobytes() == mapped.table.tobytes()
+
     @pytest.mark.parametrize("phase,edge", [
         (Phase.ALIGNED, EdgeMode.TORUS_WRAP),
         (Phase.OFFSET, EdgeMode.TORUS_WRAP),
@@ -509,7 +534,7 @@ class TestRuleTable:
                 net = rule_network(phase, edge, table)
                 match = apply_model_binary(net, x) == t
                 rate = int(match.all(axis=(1, 2)).sum()) / len(x)
-                result = evaluate_tensors(net, keys)
+                result = evaluate_tensors(tabulate(net), keys)
                 assert 0.0 < rate < 1.0
                 assert result.exact_grid_rate == rate
                 assert result.cell_accuracy == int(match.sum()) / match.size
@@ -602,7 +627,8 @@ class TestBlockEvaluation:
         t = flip_a_third((pred >= 0.5).astype(np.uint8), n)
         accuracy, rate, loss = dense_scores(pred, t)
         assert 0.0 < rate < 1.0
-        result = evaluate_tensors(net, block_keys(block_form(net)[0], x, t))
+        result = evaluate_tensors(tabulate(net),
+                                  block_keys(block_form(net)[0], x, t))
         assert result.cell_accuracy == accuracy
         assert result.exact_grid_rate == rate
         assert abs(result.mean_loss - loss) <= 1e-12 * loss
@@ -614,7 +640,7 @@ class TestBlockEvaluation:
                    lambda g: np.zeros_like(g)):
             accuracy, rate, loss = dense_scores(
                 fn(x).astype(np.float64), t)
-            result = evaluate_tensors(fn, read_keys(fn, x, t))
+            result = evaluate_tensors(tabulate(fn), read_keys(fn, x, t))
             assert (result.cell_accuracy, result.exact_grid_rate) == \
                 (accuracy, rate)
             assert abs(result.mean_loss - loss) <= 1e-12 * loss
@@ -629,7 +655,7 @@ class TestBlockEvaluation:
         for model in (build_model(Phase.OFFSET, EdgeMode.ZERO_PAD_CROP,
                                   seed=0), lambda g: g):
             with pytest.raises(ValueError):
-                evaluate_tensors(model, read_keys(model, x, t))
+                evaluate_tensors(tabulate(model), read_keys(model, x, t))
 
     def test_rollout_runs_each_core_once(self, monkeypatch):
         net_a = centred_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, False, 3)
@@ -650,6 +676,46 @@ class TestBlockEvaluation:
         assert cores == [block_form(net_a)[1].layers,
                          block_form(net_o)[1].layers]
         assert all(np.array_equal(a, b) for a, b in zip(trajectory, want))
+
+    def test_evaluate_runs_the_core_once(self, monkeypatch):
+        net = centred_model(Phase.OFFSET, EdgeMode.TORUS_WRAP, False, 5)
+        ds = small_dataset(seed=7, phase=Phase.OFFSET)
+        want = evaluate(net, ds)
+        cores = []
+        real = rollout_module.code_forward
+
+        def counted(core):
+            cores.append(core.layers)
+            return real(core)
+        monkeypatch.setattr(rollout_module, "code_forward", counted)
+        assert evaluate(net, ds) == want
+        assert cores == [block_form(net)[1].layers]
+
+    def test_evaluate_tensors_scores_the_given_table(self, monkeypatch):
+        net = centred_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, False, 5)
+        ds = small_dataset(seed=7)
+        want, mapped = evaluate(net, ds), tabulate(net)
+        monkeypatch.setattr(train_module, "tabulate", None)
+        assert evaluate_tensors(mapped, pack_keys(
+            mapped.partition, ds.inputs, ds.targets)) == want
+
+    @pytest.mark.parametrize("model", [
+        build_model(Phase.OFFSET, EdgeMode.ZERO_PAD_CROP, seed=0),
+        lambda g: g], ids=["network", "callable"])
+    def test_evaluate_validates_each_chunk_once(self, monkeypatch, model):
+        ds = generate_dataset(4, 2 * KEY_CHUNK + 501, Direction.FORWARD,
+                              Phase.OFFSET, EdgeMode.ZERO_PAD_CROP, seed=8)
+        want = evaluate(model, ds)
+        seen = []
+        real = train_module.validate_grids
+
+        def counted(grids):
+            seen.append(len(grids))
+            return real(grids)
+        for module in (ca_module, rollout_module, train_module):
+            monkeypatch.setattr(module, "validate_grids", counted)
+        assert evaluate(model, ds) == want
+        assert seen == [KEY_CHUNK, KEY_CHUNK] * 2 + [501, 501]
 
 
 class TestCommute:
@@ -691,7 +757,7 @@ class TestCommute:
         history, net = commute_experiment(evolution, 3, config, n=8,
                                           count=100, holdout_fraction=0.2)
         held_out = random_grids(100, 8, 0.5, 4)[-20:]
-        want = evaluate_tensors(net, block_keys(
+        want = evaluate_tensors(tabulate(net), block_keys(
             block_form(net)[0], evolution(held_out),
             evolution(apply_model_binary(net, held_out))))
         final = history.final

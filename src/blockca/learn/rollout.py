@@ -53,7 +53,7 @@ def tabulate(model) -> BlockTable:
     """
     if isinstance(model, Network):
         partition, core = block_form(model)
-        logits, table = (a.reshape(16, 4) for a in code_forward(core)[:2])
+        logits, table = code_forward(core)[:2]
         if not np.isfinite(logits).all():
             raise TrainingDiverged("non-finite prediction")
         frame = np.asarray

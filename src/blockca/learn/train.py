@@ -6,9 +6,11 @@ of its partition on its own, so the loss of a minibatch is a sum over the
 Each sample is read as its row of 12-bit block keys (see block_keys), and
 supervised training packs the keys of its whole dataset once (see
 pack_keys); each step counts the keys of its minibatch and runs the
-network's core once on the 16 codes instead of on the whole batch, and
-held-out evaluation scores the same keys: the loss from the core's 16-code
-table, every bit from its rule.  Dense backprop stays as the reference.
+network's core forward and backward once on the 16 codes, as row matrices
+(see models.code_forward and models.code_backward), instead of on the
+whole batch, and held-out evaluation scores the same keys: the loss from
+the core's 16-code table, every bit from its rule.  Dense backprop stays
+as the reference.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from ..nn.layers import Network
 from ..nn.loss import counted_bce_loss
 from ..nn.optim import NetworkOptimizer, OptimizerConfig
 from .data import Dataset
-from .models import CODE_BATCH, block_form, code_forward
+from .models import block_form, code_backward, code_forward
 from .rollout import BlockTable, TrainingDiverged, tabulate
 
 DEFAULT_GRID_SIZE = 16
@@ -141,16 +143,18 @@ def block_keys(partition, inputs, targets) -> np.ndarray:
     binary input and target grid stacks: input code << 8 | target code << 4
     | mask code.
 
-    A ones mask goes along into the partition's frame (see ca.to_frame), so
-    the mask code marks the cells that ca.from_frame keeps.
+    The mask code marks the cells of a block that ca.from_frame keeps; it
+    depends only on the partition and the grid side, so it is taken once
+    from an (n, n) ones grid in the partition's frame (see ca.to_frame).
     """
     _check_shapes(inputs, targets)
-    frame = np.stack([inputs, targets, np.ones_like(inputs)], axis=1,
-                     dtype=np.uint8)
+    frame = np.stack([inputs, targets], axis=1, dtype=np.uint8)
     if frame.max() > 1:
         raise ValueError("grids must be binary")
     codes = block_codes(to_frame(frame, *partition)).astype(np.uint16)
-    keys = codes[:, 0] << 8 | codes[:, 1] << 4 | codes[:, 2]
+    mask = block_codes(to_frame(np.ones(frame.shape[-2:], np.uint8),
+                                *partition))
+    keys = codes[:, 0] << 8 | codes[:, 1] << 4 | mask
     return keys.reshape(len(keys), -1)
 
 
@@ -184,7 +188,9 @@ def key_counts(keys: np.ndarray) -> np.ndarray:
 
 def block_backward(core: Network, counts: np.ndarray) -> float:
     """BCE of a network in block form (see models.block_form) on the cells
-    of (16, 4, 2) key_counts, backpropagated through its core.
+    of (16, 4, 2) key_counts, backpropagated through its core: one
+    code_forward, counted_bce_loss of its (16, 4) probabilities, one
+    code_backward.
 
     The loss equals bce_loss of the dense forward pass on the grids the
     counts were taken from, and the core's layers are left holding the
@@ -192,9 +198,9 @@ def block_backward(core: Network, counts: np.ndarray) -> float:
     them.
     """
     _, probs, caches = code_forward(core)
-    loss, grad = counted_bce_loss(probs.reshape(16, 4), counts[..., 1],
-                                  counts[..., 0], counts.sum())
-    core.backward(grad.reshape(CODE_BATCH.shape), caches)
+    loss, grad = counted_bce_loss(probs, counts[..., 1], counts[..., 0],
+                                  counts.sum())
+    code_backward(core, grad, caches)
     return loss
 
 

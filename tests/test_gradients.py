@@ -8,15 +8,22 @@ from blockca.linops import KernelSpec
 from blockca.nn import (
     BypassLayer,
     ConvLayer,
+    Crop1Layer,
     DeconvLayer,
     Network,
+    Pad1Layer,
+    ReLULayer,
     SigmoidLayer,
+    WrapShiftLayer,
+    UnwrapShiftLayer,
     bce_loss,
+    counted_bce_loss,
     draw_input_with_margin,
     grad_check,
     relu_margin,
 )
 from blockca.learn import block_form, build_model
+from blockca.learn.models import CODE_BATCH, code_forward
 from blockca.learn.train import block_backward, block_keys, key_counts
 
 # Overlapping (stride < kernel) and gapped (stride > kernel) windows.
@@ -150,3 +157,73 @@ def test_code_space_loss_and_gradients_equal_dense_backprop(phase, edge,
             assert abs(loss - want) <= 1e-12 * want
             for d, (_, grad) in zip(dense, net.parameters()):
                 assert np.abs(grad() - d).max() <= 1e-12 * np.abs(d).max()
+
+
+PARTITIONS = {"aligned": (Phase.ALIGNED, EdgeMode.TORUS_WRAP),
+              "offset-torus": (Phase.OFFSET, EdgeMode.TORUS_WRAP),
+              "offset-pad": (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP)}
+CORES = {
+    f"{name}{'-bypass' * bypass}":
+        lambda rng, p=partition, b=bypass: build_model(
+            *p, bypass_endpoints=b, seed=23)
+    for name, partition in PARTITIONS.items() for bypass in (False, True)}
+# Cores block_form admits beyond build_model's, with 1x1 convs and ReLU
+# and Bypass layers on both sides of the deconv.
+CORES.update({
+    "mixed": lambda rng: Network([
+        ConvLayer.create(rng, 1, 6, 2, 2), ReLULayer(),
+        ConvLayer.create(rng, 6, 5, 1, 1), BypassLayer(), ReLULayer(),
+        DeconvLayer.create(rng, 5, 3, 2, 2), BypassLayer(),
+        ConvLayer.create(rng, 3, 4, 1, 1), ReLULayer(),
+        ConvLayer.create(rng, 4, 1, 1, 1), SigmoidLayer()]),
+    "mixed-pad": lambda rng: Network([
+        Pad1Layer(), ConvLayer.create(rng, 1, 3, 2, 2), BypassLayer(),
+        ConvLayer.create(rng, 3, 3, 1, 1), ReLULayer(),
+        DeconvLayer.create(rng, 3, 2, 2, 2), ReLULayer(),
+        ConvLayer.create(rng, 2, 2, 1, 1), BypassLayer(),
+        ConvLayer.create(rng, 2, 1, 1, 1), SigmoidLayer(), Crop1Layer()]),
+    "deconv-head": lambda rng: Network([
+        WrapShiftLayer(), ConvLayer.create(rng, 1, 4, 2, 2),
+        DeconvLayer.create(rng, 4, 1, 2, 2), SigmoidLayer(),
+        UnwrapShiftLayer()]),
+})
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("make", CORES.values(), ids=CORES.keys())
+def test_row_form_matches_the_dense_core_on_the_code_batch(make):
+    rng = np.random.default_rng(29)
+    _, core = block_form(make(rng))
+    dense, caches = Network(core.layers[:-1]).forward(CODE_BATCH)
+    dense_probs, cache = core.layers[-1].forward(dense)
+    logits, probs, _ = code_forward(core)
+    assert_close(logits, dense.reshape(16, 4))
+    assert_close(probs, dense_probs.reshape(16, 4))
+
+    counts = rng.integers(0, 40, size=(16, 4, 2)).astype(np.float64)
+    loss = block_backward(core, counts)
+    rows = [(layer.grad_weights.copy(), layer.grad_bias.copy())
+            for layer in core.param_layers()]
+    want, grad = counted_bce_loss(dense_probs.reshape(16, 4), counts[..., 1],
+                                  counts[..., 0], counts.sum())
+    core.backward(grad.reshape(CODE_BATCH.shape), [*caches, cache])
+    assert abs(loss - want) <= 1e-12 * want
+    for (weights, bias), layer in zip(rows, core.param_layers()):
+        assert_close(weights, layer.grad_weights)
+        assert_close(bias, layer.grad_bias)
+        assert weights.shape == layer.kernel.weights.shape
+        assert bias.shape == layer.kernel.bias.shape
+
+
+def test_code_forward_rejects_a_head_of_two_channels():
+    rng = np.random.default_rng(31)
+    _, core = block_form(Network([
+        ConvLayer.create(rng, 1, 4, 2, 2), ReLULayer(),
+        DeconvLayer.create(rng, 4, 2, 2, 2), ReLULayer(),
+        ConvLayer.create(rng, 2, 2, 1, 1), SigmoidLayer()]))
+    with pytest.raises(ValueError, match="not one channel per block"):
+        code_forward(core)

@@ -29,6 +29,7 @@ from blockca.learn.data import verify_dataset
 from blockca.learn.models import ALIGNED_PARTITION
 from blockca.learn.rollout import IDENTITY_TABLE
 from blockca.learn.witness import lower_network, witness_logits
+from blockca.linops import KernelSpec
 from blockca.learn.train import KEY_CHUNK, block_keys, fit, pack_keys
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
                         ReLULayer, SigmoidLayer, WrapShiftLayer,
@@ -164,6 +165,11 @@ class TestBlockForm:
         (lambda rng: [WrapShiftLayer(), *block_core(rng, [SigmoidLayer()]),
                       UnwrapShiftLayer()],
          "layer 3 (sigmoid) is not the head"),
+        # A zero bias on the input side: dense layers accept it, but it is
+        # no bias of the layer's output rows.
+        (lambda rng: block_core(rng)[:-2] + [ConvLayer(KernelSpec(
+            1, 2, 1, 1, 1, rng.normal(size=(1, 2, 1, 1)), np.zeros(2))),
+            SigmoidLayer()], "layer 4 (conv) has 2 biases"),
     ])
     def test_non_block_networks_are_rejected_by_name(self, layers, named):
         net = Network(layers(np.random.default_rng(0)))
@@ -286,6 +292,37 @@ class TestTrain:
                 for d in (ds, floats)]
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_fit_steps_once_per_minibatch_and_evaluates_once_per_epoch(
+            self, monkeypatch, epochs):
+        # bench/workloads.py laps every NetworkOptimizer.step (step_laps)
+        # and ends training from the module-global train.evaluate_tensors
+        # (Gate), so both counts are part of fit's contract.
+        steps, evaluations = [], []
+        real_step, real_evaluate = (NetworkOptimizer.step,
+                                    train_module.evaluate_tensors)
+
+        def counted_step(self):
+            steps.append(1)
+            real_step(self)
+
+        def counted_evaluate(*args):
+            evaluations.append(1)
+            return real_evaluate(*args)
+        monkeypatch.setattr(NetworkOptimizer, "step", counted_step)
+        monkeypatch.setattr(train_module, "evaluate_tensors",
+                            counted_evaluate)
+        ds = small_dataset(count=50)
+        keys = pack_keys(ALIGNED_PARTITION, ds.inputs, ds.targets)
+        net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=2)
+        # 40 training samples in minibatches of 16, 16 and 8.
+        history = fit(net, keys.__getitem__, 40, 10,
+                      TrainConfig(epochs=epochs, batch_size=16),
+                      np.random.default_rng(0))
+        assert len(history) == epochs
+        assert len(steps) == 3 * epochs
+        assert len(evaluations) == epochs
+
     def test_keys_are_packed_once_per_dataset(self, monkeypatch):
         rows = []
         real = train_module.block_keys
@@ -306,6 +343,23 @@ class TestTrain:
 
 
 class TestPackKeys:
+    @pytest.mark.parametrize("partition", [
+        (Phase.ALIGNED, EdgeMode.TORUS_WRAP),
+        (Phase.OFFSET, EdgeMode.TORUS_WRAP),
+        (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP)])
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_keys_equal_a_ones_mask_carried_by_every_sample(self, partition,
+                                                             n):
+        x = random_grids(20, n, 0.5, n)
+        t = random_grids(20, n, 0.5, n + 1)
+        frame = to_frame(np.stack([x, t, np.ones_like(x)], axis=1),
+                         *partition)
+        codes = block_codes(frame).astype(np.uint16)
+        want = codes[:, 0] << 8 | codes[:, 1] << 4 | codes[:, 2]
+        got = block_keys(partition, x, t)
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, want.reshape(20, -1))
+
     @pytest.mark.parametrize("partition", [
         (Phase.ALIGNED, EdgeMode.TORUS_WRAP),
         (Phase.OFFSET, EdgeMode.TORUS_WRAP),

@@ -12,10 +12,10 @@ whole behaviour is that of its core on the 16 block codes; block_form
 splits a network into its partition (see ca.to_frame) and that core, and
 ca.map_blocks applies a map of one block to every block of that partition.
 code_forward and code_backward run the core on the 16 codes as row
-matrices, one row per block code and then one per cell: each conv is a
-matrix product plus bias, the deconv a product that splits every block row
-into its four cell rows, and pointwise layers act elementwise.  The dense
-Network.forward and backward stay for whole grids and as the reference.
+stacks, (rows, channels, 1, 1) arrays of one position each, on which every
+conv and deconv layer is one matrix product: one row per block code up to
+the deconv, then one per cell.  The dense Network.forward and backward
+stay for whole grids and as the reference.
 """
 
 from __future__ import annotations
@@ -92,10 +92,9 @@ def block_form(net: Network):
     `core` a Network of the layers inside that frame.  The core is checked
     to be block-local: a 2x2 stride-2 conv, then 1x1 stride-1 convs and
     pointwise layers around exactly one 2x2 stride-2 deconv, ending in its
-    only sigmoid, the head, with every conv and deconv biased on its output
-    channels.  So the network's output on each block of the partition
-    depends on that block's 4-bit code alone.  Anything else raises
-    ValueError naming the offending layer.
+    only sigmoid, the head.  So the network's output on each block of the
+    partition depends on that block's 4-bit code alone.  Anything else
+    raises ValueError naming the offending layer.
     """
     layers = list(net.layers)
     lead = layers[0] if layers and type(layers[0]) in _LEADS else None
@@ -131,73 +130,30 @@ def block_form(net: Network):
         i = heads[0] if heads else len(layers) - 1
         raise ValueError(f"layer {offset + i} ({layers[i].kind}) is not the "
                          f"head: the core must end in its only sigmoid")
-    for i, layer in enumerate(layers, offset):
-        if isinstance(layer, (ConvLayer, DeconvLayer)):
-            k = layer.kernel
-            side = k.in_channels if isinstance(layer, DeconvLayer) \
-                else k.out_channels
-            if k.bias.shape != (side,):
-                raise ValueError(f"layer {i} ({layer.kind}) has {k.bias.size} "
-                                 f"biases, not one per output channel")
     return partition, Network(layers)
-
-
-def _cell_matrix(kernel) -> np.ndarray:
-    """A 2x2 stride-2 deconv's (C, O, 2, 2) weights as the (C, 4 * O)
-    matrix taking a block row to its four cell rows, TL, TR, BL, BR, side
-    by side."""
-    return kernel.weights.transpose(0, 2, 3, 1).reshape(kernel.out_channels,
-                                                        -1)
-
-
-def _row_forward(layer, x):
-    """One core layer on rows of features, one row per block or per cell:
-    (y, cache).  A deconv maps each block row to its four cell rows."""
-    if isinstance(layer, DeconvLayer):
-        k = layer.kernel
-        return (x @ _cell_matrix(k)).reshape(-1, k.in_channels) + k.bias, x
-    if isinstance(layer, ConvLayer):
-        k = layer.kernel
-        return x @ k.weights.reshape(k.out_channels, -1).T + k.bias, x
-    return layer.forward(x)
-
-
-def _row_backward(layer, grad, x):
-    """Adjoint of _row_forward: the input gradient, with a kernel layer's
-    grad_weights and grad_bias written in its parameters' shapes."""
-    if isinstance(layer, DeconvLayer):
-        k = layer.kernel
-        grad_blocks = grad.reshape(len(x), -1)
-        layer.grad_weights = (x.T @ grad_blocks).reshape(
-            k.out_channels, 2, 2, k.in_channels).transpose(0, 3, 1, 2)
-        layer.grad_bias = grad.sum(axis=0)
-        return grad_blocks @ _cell_matrix(k).T
-    if isinstance(layer, ConvLayer):
-        k = layer.kernel
-        layer.grad_weights = (grad.T @ x).reshape(k.weights.shape)
-        layer.grad_bias = grad.sum(axis=0)
-        return grad @ k.weights.reshape(k.out_channels, -1)
-    return layer.backward(grad, x)
 
 
 def code_forward(core: Network):
     """A block-form core (see block_form) run on the 16 block codes as row
-    matrices: (logits, probs, caches), (16, 4) before and after the head,
-    row c for code c, cells TL, TR, BL, BR.
+    stacks: (logits, probs, caches), (16, 4) before and after the head, row
+    c for code c, cells TL, TR, BL, BR.
 
-    The codes enter as the (16, 4) rows of CODE_BATCH.  Every conv is a
-    matrix product of rows, the leading 2x2 one included; the deconv turns
-    the 16 block rows into 64 cell rows, code-major; pointwise layers act
-    elementwise.  This is Network.forward of the core on CODE_BATCH, up to
-    the order of floating-point sums.
+    The leading conv takes the 16 blocks of CODE_BATCH to 16 block rows,
+    (16, C, 1, 1); the deconv's (16, O, 2, 2) output is laid out as 64 cell
+    rows, code-major, (64, O, 1, 1); the 1x1 convs and pointwise layers act
+    on the rows they are given.  Each layer runs its own forward, so this is
+    Network.forward of the core on CODE_BATCH up to the order of
+    floating-point sums.
     """
-    x, caches = CODE_BATCH.reshape(16, 4), []
+    x, caches = CODE_BATCH, []
     for layer in core.layers[:-1]:
-        x, cache = _row_forward(layer, x)
+        x, cache = layer.forward(x)
         caches.append(cache)
-    if x.shape != (64, 1):
-        raise ValueError(f"network maps the 16 blocks to rows {x.shape}, "
-                         f"not one channel per block")
+        if isinstance(layer, DeconvLayer):
+            x = x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1], 1, 1)
+    if x.shape != (64, 1, 1, 1):
+        raise ValueError(f"network maps the 16 blocks to rows of "
+                         f"{x.shape[1]} channels, not one channel per block")
     logits = x.reshape(16, 4)
     probs, cache = core.layers[-1].forward(logits)
     return logits, probs, [*caches, cache]
@@ -207,10 +163,14 @@ def code_backward(core: Network, grad: np.ndarray, caches) -> None:
     """Backpropagate `grad`, the (16, 4) gradient of a loss with respect to
     code_forward's probs, through the core, given that pass's caches.
 
-    Each conv and deconv is left holding the grad_weights and grad_bias that
-    Network.backward of the same loss on CODE_BATCH would leave in it.
+    Each layer runs its own backward on the row stacks code_forward gave
+    it, so each conv and deconv is left holding the grad_weights and
+    grad_bias that Network.backward of the same loss on CODE_BATCH would
+    leave in it.
     """
     layers = core.layers
-    grad = layers[-1].backward(grad, caches[-1]).reshape(64, 1)
+    grad = layers[-1].backward(grad, caches[-1]).reshape(64, 1, 1, 1)
     for layer, cache in zip(layers[-2::-1], caches[-2::-1]):
-        grad = _row_backward(layer, grad, cache)
+        if isinstance(layer, DeconvLayer):
+            grad = grad.reshape(16, 2, 2, -1).transpose(0, 3, 1, 2)
+        grad = layer.backward(grad, cache)

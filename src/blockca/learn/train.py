@@ -6,7 +6,7 @@ of its partition on its own, so the loss of a minibatch is a sum over the
 Each sample is read as its row of 12-bit block keys (see block_keys), and
 supervised training packs the keys of its whole dataset once (see
 pack_keys); each step counts the keys of its minibatch and runs the
-network's core forward and backward once on the 16 codes, as row matrices
+network's core forward and backward once on the 16 codes, as row stacks
 (see models.code_forward and models.code_backward), instead of on the
 whole batch, and held-out evaluation scores the same keys: the loss from
 the core's 16-code table, every bit from its rule.  Dense backprop stays

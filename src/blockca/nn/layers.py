@@ -5,7 +5,8 @@ layer exposes ``forward(x) -> (y, cache)`` and ``backward(grad_y, cache)
 -> grad_x``; layers with parameters overwrite ``grad_weights`` and
 ``grad_bias`` on every backward call.  Caches are returned to the caller
 rather than stored, so forward passes on cloned parameter sets are safe to
-run concurrently.
+run concurrently.  A conv input of one window per sample, and a deconv
+input of one position per sample, take one matrix product of rows.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ def _fold(cols: np.ndarray, oh: int, ow: int, kh: int, kw: int,
 def _conv_raw(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Strided cross-correlation, no bias: (N,Ci,H,W) -> (N,Co,OH,OW)."""
     co, _, kh, kw = w.shape
+    if x.shape[2:] == (kh, kw):
+        # One window per sample: the conv is one matrix product of rows.
+        return (x.reshape(len(x), -1) @ w.reshape(co, -1).T)[..., None, None]
     oh = conv_output_hw(x.shape[2], kh, stride)
     ow = conv_output_hw(x.shape[3], kw, stride)
     out = np.matmul(w.reshape(co, -1), _unfold(x, kh, kw, stride))
@@ -62,6 +66,9 @@ def _deconv_raw(y: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Adjoint of _conv_raw with the same kernel: (N,Co,h,w) -> (N,Ci,OH,OW)."""
     n, co, h, wd = y.shape
     kh, kw = w.shape[2:]
+    if h == wd == 1:
+        # One position per sample: each row of y becomes one window.
+        return (y.reshape(n, co) @ w.reshape(co, -1)).reshape(n, -1, kh, kw)
     cols = np.matmul(w.reshape(co, -1).T, y.reshape(n, co, h * wd))
     return _fold(cols, h, wd, kh, kw, stride)
 
@@ -70,6 +77,11 @@ def _kernel_grad(small: np.ndarray, big: np.ndarray, kh: int, kw: int,
                  stride: int) -> np.ndarray:
     """Weight gradient of a convolution and of its adjoint: entry [o,i,a,b]
     sums small[:, o, p, q] * big[:, i, p*stride + a, q*stride + b]."""
+    if small.shape[2:] == (1, 1) and big.shape[2:] == (kh, kw):
+        # One window per sample: one product of the two stacks' rows.
+        n = len(small)
+        return (small.reshape(n, -1).T @ big.reshape(n, -1)).reshape(
+            small.shape[1], -1, kh, kw)
     cols = _unfold(big, kh, kw, stride)
     cols = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
     rows = small.transpose(1, 0, 2, 3).reshape(small.shape[1], -1)

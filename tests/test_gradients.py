@@ -30,6 +30,11 @@ from blockca.learn.train import block_backward, block_keys, key_counts
 WINDOWS = [(2, 1), (3, 1), (3, 2), (1, 2), (2, 3)]
 
 
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def exact_targets(x, phase, edge):
     grids = [step((sample[0] >= 0.5).astype(np.uint8), phase, edge)
              for sample in x]
@@ -115,6 +120,44 @@ def test_window_deconv_gradients(k, s):
     assert grad_check(net, x, t) <= 1e-6
 
 
+@pytest.mark.parametrize("k,s", [(1, 1), (2, 2), *WINDOWS])
+def test_one_window_layers_equal_their_window_of_a_larger_input(k, s):
+    # A kernel-sized conv input and a one-position deconv input take one
+    # matrix product; a larger input, zero outside that window, takes the
+    # general path.
+    rng = np.random.default_rng(6)
+    conv = ConvLayer(KernelSpec(3, 2, k, k, s, rng.normal(size=(3, 2, k, k)),
+                                rng.normal(size=3)))
+    x = rng.normal(size=(4, 2, k, k))
+    big = rng.normal(size=(4, 2, k + s, k + s))
+    big[:, :, :k, :k] = x
+    grad = rng.normal(size=(4, 3, 1, 1))
+    grad_big = np.zeros((4, 3, 2, 2))
+    grad_big[:, :, :1, :1] = grad
+    assert_close(conv.forward(x)[0], conv.forward(big)[0][:, :, :1, :1])
+    grad_x = conv.backward(grad, x)
+    one = conv.grad_weights, conv.grad_bias
+    assert_close(grad_x, conv.backward(grad_big, big)[:, :, :k, :k])
+    assert_close(one[0], conv.grad_weights)
+    assert_close(one[1], conv.grad_bias)
+
+    deconv = DeconvLayer(KernelSpec(3, 2, k, k, s,
+                                    rng.normal(size=(3, 2, k, k)),
+                                    rng.normal(size=2)))
+    y = rng.normal(size=(4, 3, 1, 1))
+    y_big = np.zeros((4, 3, 2, 2))
+    y_big[:, :, :1, :1] = y
+    grad = rng.normal(size=(4, 2, k, k))
+    grad_big = np.zeros((4, 2, k + s, k + s))
+    grad_big[:, :, :k, :k] = grad
+    assert_close(deconv.forward(y)[0], deconv.forward(y_big)[0][:, :, :k, :k])
+    grad_y = deconv.backward(grad, y)
+    one = deconv.grad_weights, deconv.grad_bias
+    assert_close(grad_y, deconv.backward(grad_big, y_big)[:, :, :1, :1])
+    assert_close(one[0], deconv.grad_weights)
+    assert_close(one[1], deconv.grad_bias)
+
+
 def test_loss_gradient_through_full_stack_matches_fd_loss_curve():
     # End-to-end: loss decreases along the negative gradient direction.
     net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=17)
@@ -187,11 +230,6 @@ CORES.update({
         DeconvLayer.create(rng, 4, 1, 2, 2), SigmoidLayer(),
         UnwrapShiftLayer()]),
 })
-
-
-def assert_close(got, want):
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("make", CORES.values(), ids=CORES.keys())

@@ -29,7 +29,6 @@ from blockca.learn.data import verify_dataset
 from blockca.learn.models import ALIGNED_PARTITION
 from blockca.learn.rollout import IDENTITY_TABLE
 from blockca.learn.witness import lower_network, witness_logits
-from blockca.linops import KernelSpec
 from blockca.learn.train import KEY_CHUNK, block_keys, fit, pack_keys
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
                         ReLULayer, SigmoidLayer, WrapShiftLayer,
@@ -165,11 +164,6 @@ class TestBlockForm:
         (lambda rng: [WrapShiftLayer(), *block_core(rng, [SigmoidLayer()]),
                       UnwrapShiftLayer()],
          "layer 3 (sigmoid) is not the head"),
-        # A zero bias on the input side: dense layers accept it, but it is
-        # no bias of the layer's output rows.
-        (lambda rng: block_core(rng)[:-2] + [ConvLayer(KernelSpec(
-            1, 2, 1, 1, 1, rng.normal(size=(1, 2, 1, 1)), np.zeros(2))),
-            SigmoidLayer()], "layer 4 (conv) has 2 biases"),
     ])
     def test_non_block_networks_are_rejected_by_name(self, layers, named):
         net = Network(layers(np.random.default_rng(0)))

@@ -3,7 +3,9 @@
 A candidate network N is trained so that N applied after the fixed
 evolution B matches B applied after N.  Labels come from the frozen branch
 B(N(x)) with N's output thresholded to a grid before B, so gradients flow
-only through the N(B(x)) branch.
+only through the N(B(x)) branch.  N(x) is read from the 16-code table that
+the training step takes its loss on (see train.fit), so each step runs N's
+core once.
 
 The minimizer of this objective is wildly non-unique: the identity, B
 itself, every power of B, and every constant map onto a fixed point of B
@@ -18,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ca import Direction, EdgeMode, Phase, phase_at, random_grids, step
+from ..ca import (Direction, EdgeMode, Phase, apply_rule, phase_at,
+                  random_grids, step)
 from .data import rule_map
 from .models import block_form, build_model
-from .rollout import apply_model_binary, tabulate
+from .rollout import rule_of, tabulate
 from .train import TrainConfig, block_keys, fit, split_holdout
 
 
@@ -45,7 +48,8 @@ def commute_experiment(evolution, init_seed: int, config: TrainConfig,
     thresholded N(B(x)) matches the moving label B(threshold(N(x))) on a
     held-out pool of grids.  The labels move as the network trains, so
     the block keys of each minibatch and of the pool are packed on every
-    read.
+    read: N(x) is the rule of the table fit hands to keys (see
+    rollout.rule_of) applied to the blocks of x.
     """
     rng = np.random.default_rng(config.seed)
     grids = random_grids(count, n, 0.5, rng)
@@ -55,10 +59,10 @@ def commute_experiment(evolution, init_seed: int, config: TrainConfig,
 
     partition = block_form(net)[0]
 
-    def keys(indices):
+    def keys(indices, table):
         x = grids[indices]
-        return block_keys(partition, evolution(x),
-                          evolution(apply_model_binary(net, x)))
+        return block_keys(partition, evolution(x), evolution(
+            apply_rule(x, *partition, rule_of(table))))
 
     return fit(net, keys, count - n_test, n_test, config, rng), net
 

@@ -18,7 +18,7 @@ IDENTITY_LOGITS = np.where(IDENTITY_TABLE > 0, np.inf, -np.inf)
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or a network's prediction stops being finite."""
+    """Raised when a network's prediction stops being finite."""
 
 
 class BlockTable(NamedTuple):
@@ -67,8 +67,13 @@ def tabulate(model) -> BlockTable:
                 raise ValueError(f"grid map returned shape {out.shape} "
                                  f"for input shape {grids.shape}")
             return out
-    rule = block_codes((table >= 0.5).reshape(16, 2, 2)).ravel()
-    return BlockTable(frame, partition, logits, table, rule)
+    return BlockTable(frame, partition, logits, table, rule_of(table))
+
+
+def rule_of(table: np.ndarray) -> np.ndarray:
+    """The 16-entry code table of a (16, 4) probability table thresholded
+    at 0.5 (see ca.apply_rule)."""
+    return block_codes((table >= 0.5).reshape(16, 2, 2)).ravel()
 
 
 def apply_model_binary(model, grids: np.ndarray) -> np.ndarray:

@@ -5,12 +5,13 @@ of its partition on its own, so the loss of a minibatch is a sum over the
 16 block codes, weighted by how often each (code, cell, target bit) occurs.
 Each sample is read as its row of 12-bit block keys (see block_keys), and
 supervised training packs the keys of its whole dataset once (see
-pack_keys); each step counts the keys of its minibatch and runs the
-network's core forward and backward once on the 16 codes, as row stacks
-(see models.code_forward and models.code_backward), instead of on the
-whole batch, and held-out evaluation scores the same keys: the loss from
-the core's 16-code table, every bit from its rule.  Dense backprop stays
-as the reference.
+pack_keys).  Each step (see fit) runs the network's core forward once on
+the 16 codes, as row stacks (see models.code_forward), instead of on the
+whole batch; reads the keys of its minibatch, which may depend on that
+forward's 16-code table (commute labels do); counts them and runs the
+core's backward once (see models.code_backward).  Held-out evaluation
+scores the same keys: the loss from the core's 16-code table, every bit
+from its rule.  Dense backprop stays as the reference.
 """
 
 from __future__ import annotations
@@ -132,25 +133,20 @@ _SCORES = (_CELL_BITS[None, :, :, None]
            ).reshape(256, 8).astype(np.float64)
 
 
-def _check_shapes(inputs, targets) -> None:
-    if np.shape(targets) != np.shape(inputs):
-        raise ValueError(f"target shape {np.shape(targets)} != grid shape "
-                         f"{np.shape(inputs)}")
-
-
 def block_keys(partition, inputs, targets) -> np.ndarray:
     """(N, blocks) 12-bit keys of the blocks of `partition` of (N, n, n)
-    binary input and target grid stacks: input code << 8 | target code << 4
-    | mask code.
+    input and target grid stacks, each checked by ca.validate_grids:
+    input code << 8 | target code << 4 | mask code.
 
     The mask code marks the cells of a block that ca.from_frame keeps; it
     depends only on the partition and the grid side, so it is taken once
     from an (n, n) ones grid in the partition's frame (see ca.to_frame).
     """
-    _check_shapes(inputs, targets)
-    frame = np.stack([inputs, targets], axis=1, dtype=np.uint8)
-    if frame.max() > 1:
-        raise ValueError("grids must be binary")
+    if np.shape(targets) != np.shape(inputs):
+        raise ValueError(f"target shape {np.shape(targets)} != grid shape "
+                         f"{np.shape(inputs)}")
+    frame = np.stack([validate_grids(inputs), validate_grids(targets)],
+                     axis=1)
     codes = block_codes(to_frame(frame, *partition)).astype(np.uint16)
     mask = block_codes(to_frame(np.ones(frame.shape[-2:], np.uint8),
                                 *partition))
@@ -165,16 +161,13 @@ KEY_CHUNK = 1000
 
 def pack_keys(partition, inputs, targets) -> np.ndarray:
     """block_keys of `partition` of two (count, n, n) grid stacks, packed
-    KEY_CHUNK grids at a time into one (count, blocks) array; each chunk
-    of both stacks is checked by ca.validate_grids."""
-    _check_shapes(inputs, targets)
+    KEY_CHUNK grids at a time into one (count, blocks) array."""
     side = to_frame(np.zeros(np.shape(inputs)[-2:], np.uint8),
                     *partition).shape[-1]
     keys = np.empty((len(inputs), (side // 2) ** 2), np.uint16)
     for lo in range(0, len(inputs), KEY_CHUNK):
         hi = lo + KEY_CHUNK
-        keys[lo:hi] = block_keys(partition, validate_grids(inputs[lo:hi]),
-                                 validate_grids(targets[lo:hi]))
+        keys[lo:hi] = block_keys(partition, inputs[lo:hi], targets[lo:hi])
     return keys
 
 
@@ -184,24 +177,6 @@ def key_counts(keys: np.ndarray) -> np.ndarray:
     integers."""
     blocks = np.bincount(keys.ravel(), minlength=16 ** 3).reshape(16, 256)
     return (blocks @ _SCORES).reshape(16, 4, 2)
-
-
-def block_backward(core: Network, counts: np.ndarray) -> float:
-    """BCE of a network in block form (see models.block_form) on the cells
-    of (16, 4, 2) key_counts, backpropagated through its core: one
-    code_forward, counted_bce_loss of its (16, 4) probabilities, one
-    code_backward.
-
-    The loss equals bce_loss of the dense forward pass on the grids the
-    counts were taken from, and the core's layers are left holding the
-    parameter gradients that Network.backward of that loss would leave in
-    them.
-    """
-    _, probs, caches = code_forward(core)
-    loss, grad = counted_bce_loss(probs, counts[..., 1], counts[..., 0],
-                                  counts.sum())
-    code_backward(core, grad, caches)
-    return loss
 
 
 def split_holdout(count: int, holdout_fraction: float) -> int:
@@ -220,13 +195,17 @@ def fit(net: Network, keys, n_train: int, n_test: int, config: TrainConfig,
     """Minibatch BCE training of `net` in place; returns per-epoch history.
 
     `net` must split by models.block_form, else ValueError is raised before
-    any step.  `keys(indices)` returns the (count, blocks) block keys of
-    those sample indices in the network's partition (see block_keys); each
-    minibatch counts its keys (see key_counts) and takes one forward and
-    backward pass of the core on the 16 block codes (see block_backward)
-    and one optimizer step.  Indices below `n_train` are trained on, in an
-    order `rng` shuffles each epoch; the next `n_test` are held out and
-    scored by evaluate_tensors after each epoch's last optimizer step.
+    any step.  `keys(indices, table)` returns the (count, blocks) block keys
+    of those sample indices in the network's partition (see block_keys),
+    given the network's current (16, 4) probability table.  Each minibatch
+    takes one step: one forward of the core on the 16 block codes (see
+    models.code_forward), whose table keys reads; counted_bce_loss of that
+    table on the keys' counts (see key_counts); one backward of the core
+    (see models.code_backward) and one optimizer step.  A non-finite logit
+    raises TrainingDiverged before keys reads the table.  Indices below
+    `n_train` are trained on, in an order `rng` shuffles each epoch; the
+    next `n_test` are held out and scored by evaluate_tensors of one
+    tabulate after each epoch's last optimizer step.
     """
     _, core = block_form(net)
     history = TrainHistory()
@@ -237,14 +216,20 @@ def fit(net: Network, keys, n_train: int, n_test: int, config: TrainConfig,
         loss_sum = 0.0
         for lo in range(0, n_train, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            loss = block_backward(core, key_counts(keys(idx)))
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+            logits, probs, caches = code_forward(core)
+            if not np.isfinite(logits).all():
+                raise TrainingDiverged(f"non-finite prediction at epoch "
+                                       f"{epoch}")
+            counts = key_counts(keys(idx, probs))
+            loss, grad = counted_bce_loss(probs, counts[..., 1],
+                                          counts[..., 0], counts.sum())
+            code_backward(core, grad, caches)
             optimizer.step()
             loss_sum += loss * idx.size
+        mapped = tabulate(net)
         # A module-global call: bench/workloads.py's Gate replaces
         # evaluate_tensors here to end training at a held-out gate.
-        test = evaluate_tensors(tabulate(net), keys(held_out))
+        test = evaluate_tensors(mapped, keys(held_out, mapped.table))
         history.records.append(EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n_train,
@@ -270,6 +255,6 @@ def train(model: Network, dataset: Dataset, config: TrainConfig,
         raise ValueError("dataset must hold at least 10 pairs")
     n_test = split_holdout(len(dataset), holdout_fraction)
     keys = pack_keys(block_form(model)[0], dataset.inputs, dataset.targets)
-    history = fit(model, keys.__getitem__, len(dataset) - n_test, n_test,
-                  config, np.random.default_rng(config.seed))
+    history = fit(model, lambda idx, _: keys[idx], len(dataset) - n_test,
+                  n_test, config, np.random.default_rng(config.seed))
     return history, model

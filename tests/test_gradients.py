@@ -23,8 +23,8 @@ from blockca.nn import (
     relu_margin,
 )
 from blockca.learn import block_form, build_model
-from blockca.learn.models import CODE_BATCH, code_forward
-from blockca.learn.train import block_backward, block_keys, key_counts
+from blockca.learn.models import CODE_BATCH, code_backward, code_forward
+from blockca.learn.train import block_keys, key_counts
 
 # Overlapping (stride < kernel) and gapped (stride > kernel) windows.
 WINDOWS = [(2, 1), (3, 1), (3, 2), (1, 2), (2, 3)]
@@ -33,6 +33,17 @@ WINDOWS = [(2, 1), (3, 1), (3, 2), (1, 2), (2, 3)]
 def assert_close(got, want):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def code_step(core, counts):
+    """BCE of a core's 16-code table on (16, 4, 2) key_counts, backpropagated
+    through the core: code_forward, counted_bce_loss, code_backward, the
+    pieces of one training step of train.fit."""
+    _, probs, caches = code_forward(core)
+    loss, grad = counted_bce_loss(probs, counts[..., 1], counts[..., 0],
+                                  counts.sum())
+    code_backward(core, grad, caches)
+    return loss
 
 
 def exact_targets(x, phase, edge):
@@ -196,7 +207,7 @@ def test_code_space_loss_and_gradients_equal_dense_backprop(phase, edge,
             dense = [grad().copy() for _, grad in net.parameters()]
             counts = key_counts(block_keys(lead, x, t))
             assert counts.sum() == x.size
-            loss = block_backward(core, counts)
+            loss = code_step(core, counts)
             assert abs(loss - want) <= 1e-12 * want
             for d, (_, grad) in zip(dense, net.parameters()):
                 assert np.abs(grad() - d).max() <= 1e-12 * np.abs(d).max()
@@ -243,7 +254,7 @@ def test_row_form_matches_the_dense_core_on_the_code_batch(make):
     assert_close(probs, dense_probs.reshape(16, 4))
 
     counts = rng.integers(0, 40, size=(16, 4, 2)).astype(np.float64)
-    loss = block_backward(core, counts)
+    loss = code_step(core, counts)
     rows = [(layer.grad_weights.copy(), layer.grad_bias.copy())
             for layer in core.param_layers()]
     want, grad = counted_bce_loss(dense_probs.reshape(16, 4), counts[..., 1],

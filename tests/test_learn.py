@@ -12,6 +12,7 @@ from blockca.ca import (BLOCK_TABLE, Direction, EdgeMode, Phase, apply_rule,
                         random_grids, step, to_frame, from_frame)
 from blockca.learn import (
     TrainConfig,
+    TrainingDiverged,
     apply_model_binary,
     block_form,
     build_model,
@@ -38,6 +39,8 @@ from blockca.nn.optim import NetworkOptimizer, OptimizerConfig
 # The modules, not the functions that blockca.learn exports under their
 # names.
 ca_module = importlib.import_module("blockca.ca")
+commute_module = importlib.import_module("blockca.learn.commute")
+models_module = importlib.import_module("blockca.learn.models")
 rollout_module = importlib.import_module("blockca.learn.rollout")
 train_module = importlib.import_module("blockca.learn.train")
 
@@ -184,7 +187,7 @@ class TestBlockForm:
         before = [p.copy() for p, _ in net.parameters()]
         ds = small_dataset()
 
-        def keys(indices):
+        def keys(indices, table):
             return block_keys(ALIGNED_PARTITION, ds.inputs[indices],
                               ds.targets[indices])
         with pytest.raises(ValueError, match="layer"):
@@ -286,15 +289,20 @@ class TestTrain:
                 for d in (ds, floats)]
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("run", ["train", "commute"])
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_fit_steps_once_per_minibatch_and_evaluates_once_per_epoch(
-            self, monkeypatch, epochs):
-        # bench/workloads.py laps every NetworkOptimizer.step (step_laps)
-        # and ends training from the module-global train.evaluate_tensors
-        # (Gate), so both counts are part of fit's contract.
-        steps, evaluations = [], []
-        real_step, real_evaluate = (NetworkOptimizer.step,
-                                    train_module.evaluate_tensors)
+            self, monkeypatch, epochs, run):
+        # bench/workloads.py laps every NetworkOptimizer.step (step_laps),
+        # ends training from the module-global train.evaluate_tensors
+        # (Gate) and laps every call of commute's frozen evolution
+        # (Commute.evolution_lap), so these counts are part of fit's
+        # contract.  Each step and each evaluation runs the core once.
+        steps, evaluations, forwards, evolutions = [], [], [], []
+        real_step, real_evaluate, real_forward = (
+            NetworkOptimizer.step, train_module.evaluate_tensors,
+            models_module.code_forward)
+        exact = exact_phase_step(Phase.ALIGNED)
 
         def counted_step(self):
             steps.append(1)
@@ -303,19 +311,57 @@ class TestTrain:
         def counted_evaluate(*args):
             evaluations.append(1)
             return real_evaluate(*args)
+
+        def counted_forward(core):
+            forwards.append(1)
+            return real_forward(core)
+
+        def evolution(grids):
+            evolutions.append(len(grids))
+            return exact(grids)
         monkeypatch.setattr(NetworkOptimizer, "step", counted_step)
         monkeypatch.setattr(train_module, "evaluate_tensors",
                             counted_evaluate)
-        ds = small_dataset(count=50)
-        keys = pack_keys(ALIGNED_PARTITION, ds.inputs, ds.targets)
-        net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=2)
-        # 40 training samples in minibatches of 16, 16 and 8.
-        history = fit(net, keys.__getitem__, 40, 10,
-                      TrainConfig(epochs=epochs, batch_size=16),
-                      np.random.default_rng(0))
+        for module in (models_module, rollout_module, train_module):
+            monkeypatch.setattr(module, "code_forward", counted_forward)
+        config = TrainConfig(epochs=epochs, batch_size=16)
+        # 40 training samples in minibatches of 16, 16 and 8; 10 held out.
+        if run == "train":
+            net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=2)
+            history, _ = train(net, small_dataset(count=50), config, 0.2)
+        else:
+            history, _ = commute_experiment(evolution, 2, config, n=8,
+                                            count=50, holdout_fraction=0.2)
+            assert evolutions == [16, 16, 16, 16, 8, 8, 10, 10] * epochs
         assert len(history) == epochs
         assert len(steps) == 3 * epochs
         assert len(evaluations) == epochs
+        assert len(forwards) == len(steps) + len(evaluations)
+
+    @pytest.mark.parametrize("run", ["train", "commute"])
+    def test_a_non_finite_logit_stops_training_before_any_step(
+            self, monkeypatch, run):
+        steps = []
+        monkeypatch.setattr(NetworkOptimizer, "step",
+                            lambda self: steps.append(1))
+
+        def poisoned(*args, **kwargs):
+            net = build_model(*args, **kwargs)
+            head = [layer for layer in net.layers
+                    if isinstance(layer, ConvLayer)][-1]
+            head.kernel.bias[:] = np.inf
+            return net
+        config = TrainConfig(epochs=1, batch_size=16)
+        with pytest.raises(TrainingDiverged, match="non-finite"):
+            if run == "train":
+                train(poisoned(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=2),
+                      small_dataset(count=50), config, 0.2)
+            else:
+                monkeypatch.setattr(commute_module, "build_model", poisoned)
+                commute_experiment(exact_phase_step(Phase.ALIGNED), 2,
+                                   config, n=8, count=50,
+                                   holdout_fraction=0.2)
+        assert steps == []
 
     def test_keys_are_packed_once_per_dataset(self, monkeypatch):
         rows = []
@@ -812,6 +858,22 @@ class TestCommute:
         assert (final.test_loss, final.cell_accuracy,
                 final.exact_grid_rate) == \
             (want.mean_loss, want.cell_accuracy, want.exact_grid_rate)
+
+    def test_an_int64_evolution_trains_like_uint8(self):
+        evolution = exact_phase_step(Phase.ALIGNED)
+        config = TrainConfig(epochs=2, batch_size=16, seed=4)
+        runs = [commute_experiment(fn, 3, config, n=8, count=100,
+                                   holdout_fraction=0.2)[0].to_csv()
+                for fn in (evolution,
+                           lambda g: evolution(g).astype(np.int64))]
+        assert runs[0] == runs[1]
+
+    def test_a_non_binary_evolution_raises_value_error(self):
+        evolution = exact_phase_step(Phase.ALIGNED)
+        with pytest.raises(ValueError, match="grid cells must be 0 or 1"):
+            commute_experiment(lambda g: 0.7 * evolution(g), 3,
+                               TrainConfig(epochs=1, batch_size=16), n=8,
+                               count=100, holdout_fraction=0.2)
 
 
 class TestExactMaps:

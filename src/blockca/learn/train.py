@@ -133,6 +133,17 @@ _SCORES = (_CELL_BITS[None, :, :, None]
            ).reshape(256, 8).astype(np.float64)
 
 
+def _check_stacks(inputs, targets) -> None:
+    """Raise ValueError unless inputs is a (count, n, n) stack and targets
+    has its shape."""
+    if np.ndim(inputs) != 3:
+        raise ValueError(f"expected a (count, n, n) grid stack, got shape "
+                         f"{np.shape(inputs)}")
+    if np.shape(targets) != np.shape(inputs):
+        raise ValueError(f"target shape {np.shape(targets)} != grid shape "
+                         f"{np.shape(inputs)}")
+
+
 def block_keys(partition, inputs, targets) -> np.ndarray:
     """(N, blocks) 12-bit keys of the blocks of `partition` of (N, n, n)
     input and target grid stacks, each checked by ca.validate_grids:
@@ -142,9 +153,7 @@ def block_keys(partition, inputs, targets) -> np.ndarray:
     depends only on the partition and the grid side, so it is taken once
     from an (n, n) ones grid in the partition's frame (see ca.to_frame).
     """
-    if np.shape(targets) != np.shape(inputs):
-        raise ValueError(f"target shape {np.shape(targets)} != grid shape "
-                         f"{np.shape(inputs)}")
+    _check_stacks(inputs, targets)
     frame = np.stack([validate_grids(inputs), validate_grids(targets)],
                      axis=1)
     codes = block_codes(to_frame(frame, *partition)).astype(np.uint16)
@@ -161,7 +170,9 @@ KEY_CHUNK = 1000
 
 def pack_keys(partition, inputs, targets) -> np.ndarray:
     """block_keys of `partition` of two (count, n, n) grid stacks, packed
-    KEY_CHUNK grids at a time into one (count, blocks) array."""
+    KEY_CHUNK grids at a time into one (count, blocks) array; both stacks'
+    shapes are checked before the first chunk."""
+    _check_stacks(inputs, targets)
     side = to_frame(np.zeros(np.shape(inputs)[-2:], np.uint8),
                     *partition).shape[-1]
     keys = np.empty((len(inputs), (side // 2) ** 2), np.uint16)

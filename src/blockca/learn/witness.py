@@ -12,11 +12,12 @@ then acts on logits, which commutes with the elementwise sigmoid.
 
 Chaining two lowered half-step networks needs binary intermediate values.
 A clamp built from two extra affine+ReLU stages (u = relu(a*z), then
-u - relu(u - 1)) recovers exact bits whenever the first network's logits
-keep a positive margin, so the two-half-step evolution is exhibited as one
-finite composition of linear maps and ReLU.  The clamp acts per cell and
-maps 0 to 0, so it commutes with the offset network's torus shift and
-zero padding and runs on each block in front of that network's core.
+u - relu(u - 1)) recovers exact bits from logits of abs >= 1/a.  The first
+network maps each block by its code alone, so scaling the clamp by its
+16-code margin makes one fixed linear+ReLU chain for every grid.  The
+clamp acts per cell and maps 0 to 0, so it commutes with the offset
+network's torus shift and zero padding and runs on each block in front of
+that network's core.
 
 witness_logits takes one row per 2x2 block and runs the stages over
 near-equal slices of at most WITNESS_ROWS rows, writing the last affine
@@ -43,7 +44,7 @@ from ..nn.layers import (
     ReLULayer,
 )
 from .models import block_form
-from .rollout import TrainingDiverged
+from .rollout import TrainingDiverged, tabulate
 
 # Block rows per pass of witness_logits: a (rows, 32) float64 stage
 # temporary is then 512 kB instead of one array over every block.
@@ -146,18 +147,16 @@ def two_step_witness(net_aligned: Network, net_offset: Network,
                      grids) -> tuple[np.ndarray, float]:
     """Chain both lowered half-step networks into one linear+ReLU stack.
 
-    The clamp scale is set from the aligned logits' margin on these grids;
-    returns (predicted grids, margin).  Raises ValueError if the stack is
-    empty or any aligned logit is exactly zero, since then no clamp scale
-    can binarize, and TrainingDiverged if any logit of either network is
-    not finite.
+    The clamp scale comes from the aligned network's 16-code margin (the
+    least abs of tabulate(net_aligned).logits), not from the grids; returns
+    (predicted grids, margin).  Raises ValueError if an aligned code logit
+    is exactly zero, since then no clamp scale can binarize, and
+    TrainingDiverged if a logit of either network is not finite.
     """
     x = validate_grids(grids).astype(np.float64)
-    if x.size == 0:
-        raise ValueError("no margin exists on an empty set of grids")
-    z1 = _block_logits(net_aligned, x)
-    margin = float(np.abs(z1).min())
+    margin = float(np.abs(tabulate(net_aligned).logits).min())
     if margin == 0.0:
         raise ValueError("aligned logits touch zero; no clamp scale exists")
+    z1 = _block_logits(net_aligned, x)
     z2 = _block_logits(net_offset, z1, binarize_stages(4, 2.0 / margin))
     return (z2 >= 0.0).astype(np.uint8), margin

@@ -42,7 +42,7 @@ from blockca.learn import (
     two_step_witness,
     verify_commuting_solutions,
 )
-from blockca.learn.rollout import apply_model_binary
+from blockca.learn.rollout import apply_model_binary, tabulate
 
 GRID_N = 16
 HOLDOUT = 1 / 9
@@ -262,6 +262,15 @@ def test_criterion_09_composition_witness(aligned_forward, offset_torus):
     exact_rate = aligned_forward.history.final.exact_grid_rate
     report("criterion-09 witness-premise", exact_rate == 1.0,
            f"held-out exact_grid_rate={exact_rate}")
+    # Each network maps every block of its partition by the block's code
+    # alone, so a 16-code rule equal to the block rule is exact on every
+    # grid of every even n >= 4.
+    for name, run in [("aligned", aligned_forward),
+                      ("offset-torus", offset_torus)]:
+        rule = tabulate(run.net).rule
+        wrong = np.flatnonzero(rule != ca.BLOCK_TABLE).tolist()
+        report(f"criterion-09 {name}-exact-on-all-grids", wrong == [],
+               f"16-code rule equals ca.BLOCK_TABLE; wrong codes {wrong}")
     grids = aligned_forward.holdout
     predicted = single_step_witness(aligned_forward.net, grids)
     want = np.stack([ca.step(g, Phase.ALIGNED) for g in grids])

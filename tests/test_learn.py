@@ -39,6 +39,7 @@ from blockca.nn.optim import NetworkOptimizer, OptimizerConfig
 # The modules, not the functions that blockca.learn exports under their
 # names.
 ca_module = importlib.import_module("blockca.ca")
+layers_module = importlib.import_module("blockca.nn.layers")
 commute_module = importlib.import_module("blockca.learn.commute")
 models_module = importlib.import_module("blockca.learn.models")
 rollout_module = importlib.import_module("blockca.learn.rollout")
@@ -262,9 +263,22 @@ class TestTrain:
             targets=ds.targets.astype(np.float64)), "0 or 1"),
         (lambda ds: dataclasses.replace(ds, targets=ds.targets[:, :-2, :-2]),
          "target shape"),
-    ], ids=["target-2", "float", "misshaped"])
+        (lambda ds: dataclasses.replace(
+            ds, targets=np.concatenate([ds.targets, ds.targets[:1]])),
+         "target shape"),
+        (lambda ds: dataclasses.replace(
+            ds, inputs=np.tile(ds.inputs[0], (2, 2)),
+            targets=np.tile(ds.targets[0], (2, 2))), "grid stack"),
+        (lambda ds: dataclasses.replace(ds, inputs=ds.inputs[:, None],
+                                        targets=ds.targets[:, None]),
+         "grid stack"),
+    ], ids=["target-2", "float", "misshaped", "longer-targets", "one-grid",
+            "nested"])
     def test_bad_dataset_fails_before_the_first_optimizer_step(
             self, monkeypatch, spoil, message):
+        # The chunks then split the 200 inputs evenly, so only a check of
+        # the whole stacks sees one target too many.
+        monkeypatch.setattr(train_module, "KEY_CHUNK", 50)
         steps = []
         monkeypatch.setattr(NetworkOptimizer, "step",
                             lambda self: steps.append(1))
@@ -412,6 +426,18 @@ class TestPackKeys:
         got = pack_keys(partition, x, t)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+    @pytest.mark.parametrize("inputs,targets", [
+        (random_grids(KEY_CHUNK, 4, 0.5, 1),
+         random_grids(KEY_CHUNK + 1, 4, 0.5, 2)),
+        (random_grid(4, 0.5, 3), random_grid(4, 0.5, 4)),
+        (random_grids(1, 4, 0.5, 5)[None], random_grids(1, 4, 0.5, 6)[None]),
+    ], ids=["longer-targets", "one-grid", "nested"])
+    def test_stacks_must_be_count_n_n_of_one_shape(self, inputs, targets):
+        for pack in (pack_keys, block_keys):
+            with pytest.raises(ValueError):
+                pack(ALIGNED_PARTITION, inputs, targets)
 
 
 class TestEvaluate:
@@ -874,6 +900,35 @@ class TestCommute:
             commute_experiment(lambda g: 0.7 * evolution(g), 3,
                                TrainConfig(epochs=1, batch_size=16), n=8,
                                count=100, holdout_fraction=0.2)
+
+
+# The five acceptance tasks: (direction, phase, edge, bypass).
+TASKS = [(Direction.FORWARD, Phase.ALIGNED, EdgeMode.TORUS_WRAP, False),
+         (Direction.FORWARD, Phase.OFFSET, EdgeMode.TORUS_WRAP, False),
+         (Direction.FORWARD, Phase.OFFSET, EdgeMode.ZERO_PAD_CROP, False),
+         (Direction.BACKWARD, Phase.ALIGNED, EdgeMode.TORUS_WRAP, False),
+         (Direction.FORWARD, Phase.ALIGNED, EdgeMode.TORUS_WRAP, True)]
+
+
+def test_real_paths_never_reach_the_general_conv_path(monkeypatch):
+    """Training, tabulate, evaluate, rollout and commute run the core on
+    one-window rows (see models.code_forward); only the dense reference
+    unfolds and folds whole grids."""
+    def general(*_):
+        raise AssertionError("general conv path reached")
+    monkeypatch.setattr(layers_module, "_unfold", general)
+    monkeypatch.setattr(layers_module, "_fold", general)
+    config = TrainConfig(epochs=1, batch_size=16, seed=1)
+    grids = random_grids(5, 8, 0.5, 2)
+    for i, (direction, phase, edge, bypass) in enumerate(TASKS):
+        ds = generate_dataset(8, 40, direction, phase, edge, seed=i)
+        net = build_model(phase, edge, bypass_endpoints=bypass, seed=i)
+        train(net, ds, config, 0.25)
+        tabulate(net)
+        evaluate(net, ds)
+        rollout(net, net, grids, 2)
+    commute_experiment(exact_phase_step(Phase.ALIGNED), 3, config, n=8,
+                       count=40, holdout_fraction=0.25)
 
 
 class TestExactMaps:

@@ -69,6 +69,22 @@ class TestPhaseOperator:
         assert list(op.rows) == identity_rows(16)
         assert op.bias == (1 << 16) - 1
 
+    @pytest.mark.parametrize("code", range(16))
+    def test_each_block_code_maps_by_the_block_table(self, code):
+        """The operator of the 2x2 grid of each code: a permutation matrix
+        with bias 0 or all ones, mapping the block as ca.BLOCK_TABLE does
+        (the operator itself reads only the live count)."""
+        block = ca.ALL_BLOCKS[code]
+        op = build_phase_operator(block)
+        matrix = np.array([[row >> j & 1 for j in range(4)]
+                           for row in op.rows])
+        assert (matrix.sum(axis=0) == 1).all()
+        assert (matrix.sum(axis=1) == 1).all()
+        assert op.bias in (0, 0b1111)
+        image = apply_operator(op, vectorize_zigzag(block))
+        assert np.array_equal(devectorize_zigzag(image, 2),
+                              ca.ALL_BLOCKS[ca.BLOCK_TABLE[code]])
+
     @given(st.integers(0, 5_000))
     @settings(max_examples=100, deadline=None)
     def test_matches_simulator_half_step(self, seed):

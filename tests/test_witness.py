@@ -14,6 +14,7 @@ from blockca.learn import (
     block_form,
     build_model,
     generate_dataset,
+    tabulate,
     train,
 )
 from blockca.learn.witness import (
@@ -168,11 +169,36 @@ def test_single_step_witness_of_empty_stack_is_empty(phase, edge):
     assert out.shape == (0, 8, 8) and out.dtype == np.uint8
 
 
-def test_two_step_witness_of_empty_stack_has_no_margin():
+@pytest.mark.parametrize("phase,edge", VARIANTS[1:])
+def test_two_step_witness_of_empty_stack_is_empty(phase, edge):
+    net_aligned = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=47)
+    net_offset = build_model(phase, edge, seed=53)
+    out, margin = two_step_witness(net_aligned, net_offset,
+                                   np.zeros((0, 8, 8)))
+    assert out.shape == (0, 8, 8) and out.dtype == np.uint8
+    assert margin == np.abs(tabulate(net_aligned).logits).min() > 0
+
+
+def test_two_step_witness_clamps_at_the_16_code_margin():
+    """All-zero grids hold code 0 only, yet the clamp scale is the aligned
+    network's margin over all 16 codes, which is smaller here."""
     net_aligned = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=47)
     net_offset = build_model(Phase.OFFSET, EdgeMode.TORUS_WRAP, seed=53)
-    with pytest.raises(ValueError, match="no margin exists on an empty set"):
-        two_step_witness(net_aligned, net_offset, np.zeros((0, 8, 8)))
+    logits = tabulate(net_aligned).logits
+    grids = np.zeros((3, 8, 8), np.uint8)
+    got, margin = two_step_witness(net_aligned, net_offset, grids)
+    assert margin == np.abs(logits).min() < np.abs(logits[0]).min()
+    assert np.array_equal(got, apply_model_binary(
+        net_offset, apply_model_binary(net_aligned, grids)))
+
+
+def test_zero_16_code_margin_has_no_clamp_scale():
+    net_aligned = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=47)
+    for param, _ in net_aligned.parameters():
+        param[...] = 0.0
+    net_offset = build_model(Phase.OFFSET, EdgeMode.TORUS_WRAP, seed=53)
+    with pytest.raises(ValueError, match="no clamp scale exists"):
+        two_step_witness(net_aligned, net_offset, random_grids(3, 8, 0.5, 0))
 
 
 def _stage_loop(stages, x):
@@ -290,7 +316,8 @@ def test_non_finite_two_step_logits_raise(value):
     bad_aligned = _poisoned(Phase.ALIGNED, EdgeMode.TORUS_WRAP, 1, value)
     bad_offset = _poisoned(Phase.OFFSET, EdgeMode.TORUS_WRAP, 2, value)
     two_step_witness(aligned, offset, grids)
-    # z1 is checked before its margin is taken, z2 before it is thresholded.
+    # tabulate checks the aligned logits before the margin is taken,
+    # _block_logits checks z2 before it is thresholded.
     for first, second in [(bad_aligned, offset), (aligned, bad_offset)]:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(TrainingDiverged, match="non-finite"):

@@ -89,12 +89,13 @@ def block_form(net: Network):
 
     `partition` is the (Phase, EdgeMode) whose frame (see ca.to_frame) the
     leading WrapShiftLayer or Pad1Layer builds, or ALIGNED_PARTITION, and
-    `core` a Network of the layers inside that frame.  The core is checked
-    to be block-local: a 2x2 stride-2 conv, then 1x1 stride-1 convs and
-    pointwise layers around exactly one 2x2 stride-2 deconv, ending in its
-    only sigmoid, the head.  So the network's output on each block of the
-    partition depends on that block's 4-bit code alone.  Anything else
-    raises ValueError naming the offending layer.
+    `core` a Network of the layers inside that frame, sharing the
+    network's theta and grad.  The core is checked to be block-local: a
+    2x2 stride-2 conv, then 1x1 stride-1 convs and pointwise layers around
+    exactly one 2x2 stride-2 deconv, ending in its only sigmoid, the head.
+    So the network's output on each block of the partition depends on that
+    block's 4-bit code alone.  Anything else raises ValueError naming the
+    offending layer.
     """
     layers = list(net.layers)
     lead = layers[0] if layers and type(layers[0]) in _LEADS else None
@@ -164,9 +165,9 @@ def code_backward(core: Network, grad: np.ndarray, caches) -> None:
     code_forward's probs, through the core, given that pass's caches.
 
     Each layer runs its own backward on the row stacks code_forward gave
-    it, so each conv and deconv is left holding the grad_weights and
-    grad_bias that Network.backward of the same loss on CODE_BATCH would
-    leave in it.
+    it, so each conv and deconv writes into its grad_weights and grad_bias
+    (views of the network's grad, see block_form) what Network.backward of
+    the same loss on CODE_BATCH would write there.
     """
     layers = core.layers
     grad = layers[-1].backward(grad, caches[-1]).reshape(64, 1, 1, 1)

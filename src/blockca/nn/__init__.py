@@ -16,8 +16,8 @@ from .layers import (
 )
 from .loss import bce_loss, counted_bce_loss
 from .optim import OptimizerConfig, NetworkOptimizer
-from .gradcheck import (MarginNotFound, grad_check, network_loss, relu_margin,
-                        draw_input_with_margin)
+from .gradcheck import (MarginNotFound, grad_check, gradient_error,
+                        network_loss, relu_margin, draw_input_with_margin)
 from .checkpoint import save_network, load_network, CheckpointFormatError
 
 __all__ = [
@@ -25,7 +25,8 @@ __all__ = [
     "Pad1Layer", "Crop1Layer", "WrapShiftLayer", "UnwrapShiftLayer",
     "Network", "conv_forward", "deconv_forward", "bce_loss",
     "counted_bce_loss",
-    "OptimizerConfig", "NetworkOptimizer", "grad_check", "network_loss",
+    "OptimizerConfig", "NetworkOptimizer", "grad_check", "gradient_error",
+    "network_loss",
     "relu_margin", "draw_input_with_margin", "MarginNotFound", "save_network",
     "load_network", "CheckpointFormatError",
 ]

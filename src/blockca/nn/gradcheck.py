@@ -47,27 +47,31 @@ def draw_input_with_margin(net: Network, shape,
                          f"in {MARGIN_TRIES} tries")
 
 
+def gradient_error(net: Network, loss) -> float:
+    """Max relative error of net.grad, left by a backward pass of the
+    scalar `loss()`, vs central differences of loss() in each entry of
+    net.theta."""
+    analytic = net.grad.copy()
+    theta = net.theta
+    worst = 0.0
+    for idx in range(theta.size):
+        orig = theta[idx]
+        theta[idx] = orig + FD_STEP
+        loss_plus = loss()
+        theta[idx] = orig - FD_STEP
+        loss_minus = loss()
+        theta[idx] = orig
+        numeric = (loss_plus - loss_minus) / (2.0 * FD_STEP)
+        denom = max(abs(analytic[idx]), abs(numeric))
+        # Below the floor both sides are finite-difference noise.
+        if denom > 1e-8:
+            worst = max(worst, abs(analytic[idx] - numeric) / denom)
+    return worst
+
+
 def grad_check(net: Network, x: np.ndarray, target: np.ndarray) -> float:
     """Max relative error of backprop gradients vs central differences."""
     pred, caches = net.forward(x)
     _, dpred = bce_loss(pred, target)
     net.backward(dpred, caches)
-    analytic = [g().copy() for _, g in net.parameters()]
-
-    worst = 0.0
-    for (param, _), ana in zip(net.parameters(), analytic):
-        flat = param.reshape(-1)
-        ana_flat = ana.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + FD_STEP
-            loss_plus = network_loss(net, x, target)
-            flat[idx] = orig - FD_STEP
-            loss_minus = network_loss(net, x, target)
-            flat[idx] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * FD_STEP)
-            denom = max(abs(ana_flat[idx]), abs(numeric))
-            # Below the floor both sides are finite-difference noise.
-            if denom > 1e-8:
-                worst = max(worst, abs(ana_flat[idx] - numeric) / denom)
-    return worst
+    return gradient_error(net, lambda: network_loss(net, x, target))

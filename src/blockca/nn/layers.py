@@ -2,8 +2,10 @@
 
 Activations are (batch, channels, height, width) float64 arrays.  Each
 layer exposes ``forward(x) -> (y, cache)`` and ``backward(grad_y, cache)
--> grad_x``; layers with parameters overwrite ``grad_weights`` and
-``grad_bias`` on every backward call.  Caches are returned to the caller
+-> grad_x``; layers with parameters write ``grad_weights`` and
+``grad_bias`` in place on every backward call, and assigning either copies
+into it.  A Network keeps its layers' parameters and gradients as views of
+two flat vectors, ``theta`` and ``grad``.  Caches are returned to the caller
 rather than stored, so forward passes on cloned parameter sets are safe to
 run concurrently.  A conv input of one window per sample, and a deconv
 input of one position per sample, take one matrix product of rows.
@@ -115,12 +117,33 @@ def _init_weights(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class _KernelLayer:
-    """Parameters and gradients shared by the convolution layers."""
+    """Parameters and gradients shared by the convolution layers.
+
+    grad_weights and grad_bias keep their arrays: backward writes into
+    them, and assigning one copies into it, so a Network's grad (whose
+    views they are) sees every write.
+    """
 
     def __init__(self, kernel: KernelSpec):
         self.kernel = kernel
-        self.grad_weights = np.zeros_like(kernel.weights)
-        self.grad_bias = np.zeros_like(kernel.bias)
+        self._grad_weights = np.zeros_like(kernel.weights)
+        self._grad_bias = np.zeros_like(kernel.bias)
+
+    @property
+    def grad_weights(self) -> np.ndarray:
+        return self._grad_weights
+
+    @grad_weights.setter
+    def grad_weights(self, value):
+        self._grad_weights[...] = value
+
+    @property
+    def grad_bias(self) -> np.ndarray:
+        return self._grad_bias
+
+    @grad_bias.setter
+    def grad_bias(self, value):
+        self._grad_bias[...] = value
 
     def parameters(self):
         return [(self.kernel.weights, lambda: self.grad_weights),
@@ -145,9 +168,9 @@ class ConvLayer(_KernelLayer):
 
     def backward(self, grad_y, x):
         k = self.kernel
-        self.grad_weights = _kernel_grad(grad_y, x, k.height, k.width,
-                                         k.stride)
-        self.grad_bias = grad_y.sum(axis=(0, 2, 3))
+        self.grad_weights[...] = _kernel_grad(grad_y, x, k.height, k.width,
+                                              k.stride)
+        grad_y.sum(axis=(0, 2, 3), out=self.grad_bias)
         return _deconv_raw(grad_y, k.weights, k.stride)
 
 
@@ -178,9 +201,9 @@ class DeconvLayer(_KernelLayer):
         # Input gradient of a transposed convolution is the matching
         # forward convolution of the output gradient.
         k = self.kernel
-        self.grad_weights = _kernel_grad(x, grad_y, k.height, k.width,
-                                         k.stride)
-        self.grad_bias = grad_y.sum(axis=(0, 2, 3))
+        self.grad_weights[...] = _kernel_grad(x, grad_y, k.height, k.width,
+                                              k.stride)
+        grad_y.sum(axis=(0, 2, 3), out=self.grad_bias)
         return _conv_raw(grad_y, k.weights, k.stride)
 
 
@@ -280,11 +303,50 @@ STATELESS_LAYERS = {
 }
 
 
+def _place(vector: np.ndarray, at: int, array: np.ndarray) -> np.ndarray:
+    """vector[at:at + array.size] in the shape of `array`, holding its
+    values."""
+    view = vector[at:at + array.size].reshape(array.shape)
+    view[...] = array
+    return view
+
+
 class Network:
-    """An ordered stack of layers with explicit forward caches."""
+    """An ordered stack of layers with explicit forward caches.
+
+    The network keeps its parameters in one flat float64 vector, `theta`,
+    and their gradients in another, `grad`: every conv and deconv layer's
+    kernel.weights and kernel.bias, and its grad_weights and grad_bias, are
+    views of them in parameters() order, so kernel arrays are written
+    through, never rebound.  A network whose kernel layers are an unbroken
+    run, in order, of the layers one network placed (as block_form's core
+    is) shares that network's vectors; other layers are moved into new
+    ones, each layer recording its span of them.
+    """
 
     def __init__(self, layers):
         self.layers = list(layers)
+        owners = self.param_layers()
+        spans = [getattr(layer, "_span", None) for layer in owners]
+        if spans and None not in spans and all(
+                a[0] is b[0] and a[3] == b[2]
+                for a, b in zip(spans, spans[1:])):
+            theta, grad, lo, _ = spans[0]
+            hi = spans[-1][3]
+            self.theta, self.grad = theta[lo:hi], grad[lo:hi]
+            return
+        size = sum(p.size for p, _ in self.parameters())
+        self.theta, self.grad = np.empty(size), np.empty(size)
+        at = 0
+        for layer in owners:
+            k, lo = layer.kernel, at
+            k.weights = _place(self.theta, at, k.weights)
+            layer._grad_weights = _place(self.grad, at, layer.grad_weights)
+            at += k.weights.size
+            k.bias = _place(self.theta, at, k.bias)
+            layer._grad_bias = _place(self.grad, at, layer.grad_bias)
+            at += k.bias.size
+            layer._span = (self.theta, self.grad, lo, at)
 
     def forward(self, x):
         caches = []
@@ -292,9 +354,6 @@ class Network:
             x, cache = layer.forward(x)
             caches.append(cache)
         return x, caches
-
-    def predict(self, x):
-        return self.forward(x)[0]
 
     def backward(self, grad, caches):
         if len(caches) != len(self.layers):

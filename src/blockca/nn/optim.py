@@ -1,5 +1,5 @@
-"""The network optimizer: plain SGD or bias-corrected Adam over one flat
-parameter vector."""
+"""The network optimizer: plain SGD or bias-corrected Adam on a network's
+flat parameter vector (see Network.theta)."""
 
 from __future__ import annotations
 
@@ -29,42 +29,33 @@ class OptimizerConfig:
 
 
 class NetworkOptimizer:
-    """Binds an optimizer config to a network's parameter arrays.
+    """Binds an optimizer config to a network's flat vectors.
 
-    Each step gathers the gradients into one flat vector g, computes the
-    flat update u (SGD: lr * g; Adam: lr * m_hat / (sqrt(v_hat) + eps) from
-    flat moments m and v), and subtracts each parameter's slice of u from
-    that parameter in place.  Every operation is elementwise, so this is
-    the per-array update of each parameter, bit for bit.
+    Each step subtracts the update u from the network's theta in place,
+    computed from its grad g (SGD: lr * g; Adam: lr * m_hat / (sqrt(v_hat)
+    + eps) from moments m and v).  Every operation is elementwise, so this
+    is the per-array update of each parameter, bit for bit.
     """
 
     def __init__(self, config: OptimizerConfig, network):
         self.config = config
-        pairs = network.parameters()
-        self._params = [p for p, _ in pairs]
-        self._grads = [g for _, g in pairs]
-        bounds = np.cumsum([0] + [p.size for p in self._params])
-        self._slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        self._grad = np.zeros(bounds[-1])
-        self._m = np.zeros(bounds[-1])
-        self._v = np.zeros(bounds[-1])
+        self._theta, self._grad = network.theta, network.grad
+        self._m = np.zeros_like(self._theta)
+        self._v = np.zeros_like(self._theta)
         self._t = 0
 
     def step(self):
-        c, g = self.config, self._grad
-        for grad, part in zip(self._grads, self._slices):
-            g[part] = grad().ravel()
+        c, g, m, v = self.config, self._grad, self._m, self._v
         if c.algorithm == "sgd":
-            update = c.learning_rate * g
-        else:
-            self._t += 1
-            b1, b2 = c.adam_beta1, c.adam_beta2
-            self._m *= b1
-            self._m += (1.0 - b1) * g
-            self._v *= b2
-            self._v += (1.0 - b2) * g * g
-            m_hat = self._m / (1.0 - b1 ** self._t)
-            v_hat = self._v / (1.0 - b2 ** self._t)
-            update = c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_epsilon)
-        for p, part in zip(self._params, self._slices):
-            p -= update[part].reshape(p.shape)
+            self._theta -= c.learning_rate * g
+            return
+        self._t += 1
+        b1, b2 = c.adam_beta1, c.adam_beta2
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** self._t)
+        v_hat = v / (1.0 - b2 ** self._t)
+        self._theta -= c.learning_rate * m_hat / (np.sqrt(v_hat)
+                                                  + c.adam_epsilon)

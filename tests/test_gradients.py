@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blockca.ca import EdgeMode, Phase, random_grids, step
+from blockca.ca import Direction, EdgeMode, Phase, random_grids, step
 from blockca.linops import KernelSpec
 from blockca.nn import (
     BypassLayer,
@@ -20,11 +20,13 @@ from blockca.nn import (
     counted_bce_loss,
     draw_input_with_margin,
     grad_check,
+    gradient_error,
     relu_margin,
 )
-from blockca.learn import block_form, build_model
+from blockca.nn.gradcheck import FD_STEP
+from blockca.learn import block_form, build_model, generate_dataset
 from blockca.learn.models import CODE_BATCH, code_backward, code_forward
-from blockca.learn.train import block_keys, key_counts
+from blockca.learn.train import block_keys, key_counts, pack_keys
 
 # Overlapping (stride < kernel) and gapped (stride > kernel) windows.
 WINDOWS = [(2, 1), (3, 1), (3, 2), (1, 2), (2, 3)]
@@ -97,6 +99,45 @@ def test_rule_models_match_finite_differences(phase, edge, bypass):
     assert relu_margin(net, x) > 1e-3
     t = exact_targets(x, phase, edge)
     assert grad_check(net, x, t) <= 1e-4
+
+
+# The five supervised tasks: (direction, phase, edge, bypass_endpoints).
+TASKS = {
+    "fwd-aligned": (Direction.FORWARD, Phase.ALIGNED, EdgeMode.TORUS_WRAP,
+                    False),
+    "fwd-offset-torus": (Direction.FORWARD, Phase.OFFSET, EdgeMode.TORUS_WRAP,
+                         False),
+    "fwd-offset-pad": (Direction.FORWARD, Phase.OFFSET,
+                       EdgeMode.ZERO_PAD_CROP, False),
+    "bwd-aligned": (Direction.BACKWARD, Phase.ALIGNED, EdgeMode.TORUS_WRAP,
+                    False),
+    "fwd-aligned-bypass": (Direction.FORWARD, Phase.ALIGNED,
+                           EdgeMode.TORUS_WRAP, True),
+}
+
+
+@pytest.mark.parametrize("task", TASKS.values(), ids=TASKS.keys())
+def test_training_step_gradient_matches_finite_differences_in_theta(task):
+    # The gradient train.fit descends: counted_bce_loss of the core's
+    # 16-code table on one minibatch's key counts, as a function of the
+    # network's theta, against code_backward's net.grad.
+    direction, phase, edge, bypass = task
+    net = build_model(phase, edge, bypass_endpoints=bypass, seed=50)
+    partition, core = block_form(net)
+    # The 16 codes cannot be redrawn as draw_input_with_margin redraws
+    # inputs, so the seed is fixed and every ReLU pre-activation on them
+    # is checked to lie ten finite-difference steps clear of the kink.
+    assert relu_margin(core, CODE_BATCH) > 10 * FD_STEP
+    ds = generate_dataset(16, 32, direction, phase, edge, seed=51)
+    counts = key_counts(pack_keys(partition, ds.inputs, ds.targets))
+    code_step(core, counts)
+    assert np.abs(net.grad).max() > 1e-3
+
+    def loss():
+        probs = code_forward(core)[1]
+        return counted_bce_loss(probs, counts[..., 1], counts[..., 0],
+                                counts.sum())[0]
+    assert gradient_error(net, loss) <= 1e-4
 
 
 def test_deconv_gradient_matches_finite_differences_alone():
@@ -180,7 +221,7 @@ def test_loss_gradient_through_full_stack_matches_fd_loss_curve():
     net.backward(dpred, caches)
     for param, grad in net.parameters():
         param -= 1e-3 * grad()
-    after, _ = bce_loss(net.predict(x), t)
+    after, _ = bce_loss(net.forward(x)[0], t)
     assert after < before
 
 

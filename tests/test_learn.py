@@ -33,7 +33,8 @@ from blockca.learn.witness import lower_network, witness_logits
 from blockca.learn.train import KEY_CHUNK, block_keys, fit, pack_keys
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
                         ReLULayer, SigmoidLayer, WrapShiftLayer,
-                        UnwrapShiftLayer, bce_loss)
+                        UnwrapShiftLayer, bce_loss, load_network,
+                        save_network)
 from blockca.nn.optim import NetworkOptimizer, OptimizerConfig
 
 # The modules, not the functions that blockca.learn exports under their
@@ -85,13 +86,13 @@ class TestBuildModel:
     def test_aligned_model_preserves_grid_shape(self):
         net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=1)
         x = np.random.default_rng(0).random((3, 1, 16, 16))
-        assert net.predict(x).shape == x.shape
+        assert net.forward(x)[0].shape == x.shape
 
     def test_offset_models_preserve_grid_shape(self):
         for edge in EdgeMode:
             net = build_model(Phase.OFFSET, edge, seed=1)
             x = np.random.default_rng(0).random((2, 1, 8, 8))
-            assert net.predict(x).shape == x.shape
+            assert net.forward(x)[0].shape == x.shape
 
     def test_bypass_variant_has_two_bypass_layers_at_endpoints(self):
         net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
@@ -564,8 +565,8 @@ def centred_model(phase, edge, bypass, seed):
     net = build_model(phase, edge, bypass_endpoints=bypass, seed=seed)
     head = [layer for layer in net.layers
             if isinstance(layer, ConvLayer)][-1]
-    p = np.median(net.predict(
-        random_grids(20, 8, 0.5, 0)[:, None].astype(np.float64)))
+    p = np.median(net.forward(
+        random_grids(20, 8, 0.5, 0)[:, None].astype(np.float64))[0])
     head.kernel.bias[:] -= np.log(p / (1.0 - p))
     return net
 
@@ -610,7 +611,7 @@ class TestRuleTable:
         assert mapped.partition == (phase, edge)
         assert np.array_equal(mapped.rule, table)
         x = all_4x4_grids()
-        dense = net.predict(x[:, None].astype(np.float64))[:, 0]
+        dense = net.forward(x[:, None].astype(np.float64))[0][:, 0]
         want = apply_rule(x, phase, edge, table)
         assert np.array_equal((dense >= 0.5).astype(np.uint8), want)
         assert np.array_equal(apply_model_binary(net, x), want)
@@ -660,9 +661,55 @@ class TestRuleTable:
                 assert result.cell_accuracy == int(match.sum()) / match.size
 
 
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+class TestFlatStorage:
+    """A Network's theta and grad are the storage of its layers' parameters
+    and gradients, in parameters() order."""
+
+    @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
+    def test_block_form_core_shares_the_network_vectors(self, phase, edge,
+                                                        bypass):
+        net = build_model(phase, edge, bypass_endpoints=bypass, seed=5)
+        core = block_form(net)[1]
+        assert np.shares_memory(core.theta, net.theta)
+        assert np.shares_memory(core.grad, net.grad)
+        assert core.theta.size == net.theta.size == sum(
+            p.size for p, _ in net.parameters())
+
+    @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
+    def test_theta_is_the_parameters_after_training(self, phase, edge,
+                                                    bypass):
+        net = build_model(phase, edge, bypass_endpoints=bypass, seed=5)
+        before = net.theta.copy()
+        ds = small_dataset(seed=6, phase=phase, edge=edge)
+        train(net, ds, dataclasses.replace(SMALL, epochs=1), 0.25)
+        assert not np.array_equal(net.theta, before)
+        assert np.array_equal(net.theta, flat(p for p, _ in net.parameters()))
+        assert np.array_equal(net.grad, flat(g() for _, g in net.parameters()))
+
+    @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
+    def test_loaded_theta_has_the_saved_bytes(self, phase, edge, bypass,
+                                              tmp_path):
+        net = build_model(phase, edge, bypass_endpoints=bypass, seed=5)
+        save_network(net, tmp_path / "net.ckpt")
+        loaded = load_network(tmp_path / "net.ckpt")
+        assert loaded.theta.tobytes() == net.theta.tobytes()
+        assert np.array_equal(loaded.theta,
+                              flat(p for p, _ in loaded.parameters()))
+
+    def test_writes_through_kernel_views_reach_theta(self):
+        net = rule_network(Phase.OFFSET, EdgeMode.TORUS_WRAP, BLOCK_TABLE)
+        encode = net.param_layers()[0]
+        assert np.array_equal(net.theta[:64], encode.kernel.weights.ravel())
+        assert np.array_equal(net.theta, flat(p for p, _ in net.parameters()))
+
+
 class TestBlockPrediction:
     """The core's 16-code table, read on every block of the network's
-    partition, reproduces the dense whole-grid Network.predict."""
+    partition, reproduces the dense whole-grid Network.forward."""
 
     @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
     @pytest.mark.parametrize("grids", [
@@ -672,7 +719,7 @@ class TestBlockPrediction:
         x = grids()
         # In slices, to keep the dense reference's activations small.
         dense = np.concatenate([
-            net.predict(x[lo:lo + 8192, None].astype(np.float64))[:, 0]
+            net.forward(x[lo:lo + 8192, None].astype(np.float64))[0][:, 0]
             for lo in range(0, len(x), 8192)])
         assert np.array_equal(apply_model_binary(net, x),
                               (dense >= 0.5).astype(np.uint8))
@@ -736,14 +783,14 @@ def read_keys(model, x, t):
 
 class TestBlockEvaluation:
     """evaluate_tensors scores the 16-code table against block keys; the
-    dense Network.predict with bce_loss and a threshold is its reference."""
+    dense Network.forward with bce_loss and a threshold is its reference."""
 
     @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_matches_dense_reference(self, phase, edge, bypass, n):
         net = centred_model(phase, edge, bypass, seed=67)
         x = random_grids(60, n, 0.5, n)
-        pred = net.predict(x[:, None].astype(np.float64))[:, 0]
+        pred = net.forward(x[:, None].astype(np.float64))[0][:, 0]
         t = flip_a_third((pred >= 0.5).astype(np.uint8), n)
         accuracy, rate, loss = dense_scores(pred, t)
         assert 0.0 < rate < 1.0

@@ -140,7 +140,7 @@ class TestNetworkForward:
         kernel = KernelSpec(1, 1, 1, 1, 1, np.ones((1, 1, 1, 1)), np.zeros(1))
         net = Network([ConvLayer(kernel)])
         x = np.random.default_rng(1).normal(size=(2, 1, 4, 4))
-        assert np.allclose(net.predict(x), x)
+        assert np.allclose(net.forward(x)[0], x)
 
     def test_core_stack_preserves_shape(self):
         rng = np.random.default_rng(3)
@@ -150,13 +150,13 @@ class TestNetworkForward:
             ConvLayer.create(rng, 8, 1, 1, 1), SigmoidLayer(),
         ])
         x = rng.random((5, 1, 16, 16))
-        assert net.predict(x).shape == x.shape
+        assert net.forward(x)[0].shape == x.shape
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(4)
         net = Network([ConvLayer.create(rng, 1, 4, 2, 2), SigmoidLayer()])
         x = rng.random((3, 1, 8, 8))
-        assert np.array_equal(net.predict(x), net.predict(x))
+        assert np.array_equal(net.forward(x)[0], net.forward(x)[0])
 
 
 class TestBceLoss:
@@ -352,7 +352,7 @@ class TestCheckpoint:
             assert np.array_equal(a.kernel.bias, b.kernel.bias)
             assert a.kernel.stride == b.kernel.stride
         x = rng.random((2, 1, 8, 8))
-        assert np.array_equal(net.predict(x), loaded.predict(x))
+        assert np.array_equal(net.forward(x)[0], loaded.forward(x)[0])
 
     def test_saved_bytes_are_deterministic(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -370,7 +370,8 @@ class TestCheckpoint:
         path = tmp_path / "pad.ckpt"
         save_network(net, path)
         x = rng.random((1, 1, 6, 6))
-        assert np.array_equal(net.predict(x), load_network(path).predict(x))
+        assert np.array_equal(net.forward(x)[0],
+                              load_network(path).forward(x)[0])
 
 
 def _fuzz_base() -> bytes:

@@ -69,7 +69,7 @@ def test_lowered_stages_reproduce_network_probabilities(phase, edge, bypass):
         x = _grids(n, 6, 29)
         z = map_blocks(x.astype(np.float64), *block_form(net)[0],
                        lambda rows: witness_logits(stages, rows))
-        probs = net.predict(x[:, None].astype(np.float64))[:, 0]
+        probs = net.forward(x[:, None].astype(np.float64))[0][:, 0]
         # the trailing geometry acts on logits; it commutes with the sigmoid
         assert np.abs(_sigmoid(z) - probs).max() <= 1e-10
 

@@ -1,11 +1,19 @@
 """Dense GF(2) linear algebra on rows bit-packed into Python ints.
 
-A matrix is a list of ints, one per row; bit j of a row is the entry in
+A matrix is a sequence of ints, one per row; bit j of a row is the entry in
 column j.  Vectors use the same packing.  Addition is XOR and a dot product
-is the parity of an AND, so everything here is exact.
+is the parity of an AND, so everything here is exact.  Rows must be Python
+ints, never numpy integers: `1 << np.int64(1000)` wraps silently.
+
+The step operators of the automaton are products of permutations and of
+block-diagonal matrices with one bit per row, so `matmul` copies the row of
+B that a single-bit row of A selects, and `matvec` takes one parity per row
+and packs them all at once.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -26,19 +34,24 @@ def unpack_bits(word: int, width: int) -> np.ndarray:
                          bitorder="little")[:width].copy()
 
 
-def matvec(rows: list[int], x: int) -> int:
-    """y = M x over GF(2); bit i of y is the parity of rows[i] & x."""
-    y = 0
-    for i, row in enumerate(rows):
-        y |= ((row & x).bit_count() & 1) << i
-    return y
+def matvec(rows: Sequence[int], x: int) -> int:
+    """y = M x over GF(2); bit i of y is the parity of rows[i] & x.
+
+    The parities are collected as bytes and packed into y in one call,
+    rather than shifted into a growing int row by row.
+    """
+    parity = bytes([(row & x).bit_count() & 1 for row in rows])
+    return pack_bits(np.frombuffer(parity, dtype=np.uint8))
 
 
-def matmul(a: list[int], b: list[int]) -> list[int]:
+def matmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Row representation of A B: row i of the product XORs the rows of B
-    selected by the set bits of row i of A."""
+    selected by the set bits of row i of A; a single-bit row selects one."""
     out = []
     for row in a:
+        if row.bit_count() == 1:
+            out.append(b[row.bit_length() - 1])
+            continue
         acc = 0
         r = row
         while r:
@@ -49,7 +62,7 @@ def matmul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def transpose(rows: list[int], dim: int) -> list[int]:
+def transpose(rows: Sequence[int], dim: int) -> list[int]:
     out = [0] * dim
     for i, row in enumerate(rows):
         r = row
@@ -78,7 +91,7 @@ def _echelon(rows, dim: int) -> dict[int, int]:
     return basis
 
 
-def rank(rows: list[int], dim: int) -> int:
+def rank(rows: Sequence[int], dim: int) -> int:
     """Gaussian elimination over GF(2)."""
     return len(_echelon(rows, dim))
 
@@ -98,5 +111,5 @@ def inverse(rows: list[int], dim: int) -> list[int]:
     return [basis[pivot] >> dim for pivot in range(dim)]
 
 
-def is_invertible(rows: list[int], dim: int) -> bool:
+def is_invertible(rows: Sequence[int], dim: int) -> bool:
     return rank(rows, dim) == dim

@@ -33,14 +33,24 @@ def vectorize_zigzag(grid) -> np.ndarray:
     return g.reshape(n // 2, 2, n // 2, 2).transpose(0, 2, 1, 3).reshape(-1)
 
 
+def _binary_vector(vec, dim: int, what: str) -> np.ndarray:
+    """vec as a uint8 vector of length dim, every entry checked to be 0 or
+    1 before the cast, which would keep a 2 (read as 1 when packed) and
+    truncate 0.5 to 0."""
+    v = np.asarray(vec)
+    if v.shape != (dim,):
+        raise ValueError(f"{what} expects a vector of length {dim}, "
+                         f"got shape {v.shape}")
+    if not np.all((v == 0) | (v == 1)):
+        raise ValueError(f"{what} expects entries of 0 or 1")
+    return v.astype(np.uint8)
+
+
 def devectorize_zigzag(vec, n: int) -> np.ndarray:
     """Exact inverse of vectorize_zigzag."""
-    v = np.asarray(vec, dtype=np.uint8)
     if n < 2 or n % 2 != 0:
         raise ValueError(f"grid side must be even and >= 2, got {n}")
-    if v.shape != (n * n,):
-        raise ValueError(f"expected a vector of length {n * n}, "
-                         f"got shape {v.shape}")
+    v = _binary_vector(vec, n * n, "devectorize_zigzag")
     return (v.reshape(n // 2, n // 2, 2, 2)
              .transpose(0, 2, 1, 3).reshape(n, n).copy())
 
@@ -59,11 +69,8 @@ class AffineOperator:
 
 
 def apply_operator(op: AffineOperator, vec) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.uint8)
-    if v.shape != (op.dim,):
-        raise ValueError(f"operator dim {op.dim} does not match "
-                         f"vector shape {v.shape}")
-    y = gf2.matvec(list(op.rows), gf2.pack_bits(v)) ^ op.bias
+    v = _binary_vector(vec, op.dim, "apply_operator")
+    y = gf2.matvec(op.rows, gf2.pack_bits(v)) ^ op.bias
     return gf2.unpack_bits(y, op.dim)
 
 
@@ -71,13 +78,13 @@ def compose(second: AffineOperator, first: AffineOperator) -> AffineOperator:
     """Operator for applying `first` then `second`."""
     if second.dim != first.dim:
         raise ValueError("operator dimensions differ")
-    rows = gf2.matmul(list(second.rows), list(first.rows))
-    bias = gf2.matvec(list(second.rows), first.bias) ^ second.bias
+    rows = gf2.matmul(second.rows, first.rows)
+    bias = gf2.matvec(second.rows, first.bias) ^ second.bias
     return AffineOperator(second.dim, tuple(rows), bias)
 
 
 def operator_is_invertible(op: AffineOperator) -> bool:
-    return gf2.is_invertible(list(op.rows), op.dim)
+    return gf2.is_invertible(op.rows, op.dim)
 
 
 def build_phase_operator(grid) -> AffineOperator:
@@ -86,22 +93,21 @@ def build_phase_operator(grid) -> AffineOperator:
     Per aligned block: live count 2 gives the 4x4 identity with zero bias;
     counts 0, 1, 4 give identity with all-ones bias (flip is x XOR 1); count
     3 gives the reversal permutation with all-ones bias (flip commutes with
-    the 180 degree rotation).
+    the 180 degree rotation).  The rule is read from the live counts, not
+    from ca.BLOCK_TABLE, so the operator is an independent check of it.
+
+    All blocks are handled at once: one reshape gives the live counts, one
+    index array the source cell of every row.  Row i is the Python int
+    1 << src[i]: tolist() yields Python ints, since shifting a numpy integer
+    wraps past 63 bits.
     """
-    g = validate_grid(grid)
-    vec = vectorize_zigzag(g)
+    vec = vectorize_zigzag(grid)
     dim = vec.size
-    rows = [0] * dim
-    bias = 0
-    for base in range(0, dim, 4):
-        count = int(vec[base:base + 4].sum())
-        reverse = count == 3
-        for j in range(4):
-            src = base + (3 - j if reverse else j)
-            rows[base + j] = 1 << src
-        if count != 2:
-            bias |= 0b1111 << base
-    return AffineOperator(dim, tuple(rows), bias)
+    counts = vec.reshape(-1, 4).sum(axis=1)
+    src = np.arange(dim).reshape(-1, 4)
+    src = np.where((counts == 3)[:, None], src[:, ::-1], src)
+    rows = tuple(1 << s for s in src.ravel().tolist())
+    return AffineOperator(dim, rows, gf2.pack_bits(np.repeat(counts != 2, 4)))
 
 
 def _zigzag_index(i: int, j: int, n: int) -> int:
@@ -129,8 +135,7 @@ def build_wrap_permutation(n: int) -> AffineOperator:
 def _wrap_pair(n: int) -> tuple[AffineOperator, AffineOperator]:
     """(W, W^-1) for n x n grids, built once per n; both are immutable."""
     w = build_wrap_permutation(n)
-    return w, AffineOperator(w.dim, tuple(gf2.transpose(list(w.rows), w.dim)),
-                             0)
+    return w, AffineOperator(w.dim, tuple(gf2.transpose(w.rows, w.dim)), 0)
 
 
 def build_full_step_operator(grid) -> AffineOperator:

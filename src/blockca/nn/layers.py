@@ -320,17 +320,27 @@ class Network:
     views of them in parameters() order, so kernel arrays are written
     through, never rebound.  A network whose kernel layers are an unbroken
     run, in order, of the layers one network placed (as block_form's core
-    is) shares that network's vectors; other layers are moved into new
-    ones, each layer recording its span of them.
+    is) shares that network's vectors; fresh layers are moved into new
+    ones, each layer recording its span of them.  Any other use of placed
+    layers raises ValueError: moving them would leave the network that
+    placed them stepping vectors that no longer hold them.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
         owners = self.param_layers()
         spans = [getattr(layer, "_span", None) for layer in owners]
-        if spans and None not in spans and all(
-                a[0] is b[0] and a[3] == b[2]
-                for a, b in zip(spans, spans[1:])):
+        if any(spans):
+            # Each kernel layer must be placed and, after the first, start
+            # where the one before it ends, in the same vectors.
+            for i, (a, b) in enumerate(zip([spans[0], *spans], spans)):
+                if b is None or i and (a[0] is not b[0] or a[3] != b[2]):
+                    layer = owners[i]
+                    raise ValueError(
+                        f"layer {self.layers.index(layer)} ({layer.kind}) "
+                        f"breaks the run of kernel layers another network "
+                        f"placed; share an unbroken run of them, in order, "
+                        f"or build from fresh layers")
             theta, grad, lo, _ = spans[0]
             hi = spans[-1][3]
             self.theta, self.grad = theta[lo:hi], grad[lo:hi]

@@ -127,3 +127,67 @@ def test_inverse_of_dense_32_by_32_matrices():
         assert gf2.matmul(inv, rows) == identity
         assert gf2.matmul(rows, inv) == identity
         inverted += 1
+
+
+KERNEL_DIMS = [1, 7, 8, 9, 63, 64, 65, 1024]
+
+
+def mixed_matrix(rng, count, dim):
+    """A 0/1 array of `count` rows of `dim` columns: zero rows, single-bit
+    rows and dense rows (density 1/2), in a random order."""
+    mat = (rng.random((count, dim)) < 0.5).astype(np.uint8)
+    kind = rng.integers(0, 3, size=count)
+    mat[kind == 0] = 0
+    single = np.flatnonzero(kind == 1)
+    mat[single] = 0
+    mat[single, rng.integers(0, dim, size=single.size)] = 1
+    return mat
+
+
+def single_bit_matrix(rng, count, dim):
+    """One set bit per row, as in the factors of the step operator."""
+    mat = np.zeros((count, dim), dtype=np.uint8)
+    mat[np.arange(count), rng.integers(0, dim, size=count)] = 1
+    return mat
+
+
+def unpacked(rows, dim) -> np.ndarray:
+    return np.array([gf2.unpack_bits(r, dim) for r in rows]).reshape(-1, dim)
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_matvec_matches_numpy_mod_2_at_kernel_sizes(dim):
+    rng = np.random.default_rng(dim)
+    for make in (mixed_matrix, single_bit_matrix):
+        mat = make(rng, dim, dim)
+        for x in (np.zeros(dim, np.uint8), np.ones(dim, np.uint8),
+                  (rng.random(dim) < 0.5).astype(np.uint8)):
+            y = gf2.matvec(packed(mat), gf2.pack_bits(x))
+            assert type(y) is int
+            want = mat.astype(np.int64) @ x % 2
+            assert np.array_equal(gf2.unpack_bits(y, dim), want)
+    assert gf2.matvec([], 0b1011) == 0
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_matmul_matches_numpy_mod_2_at_kernel_sizes(dim):
+    rng = np.random.default_rng(10 + dim)
+    inner = int(rng.integers(1, dim + 2))
+    for make in (mixed_matrix, single_bit_matrix):
+        a = make(rng, dim, inner)
+        b = mixed_matrix(rng, inner, dim)
+        got = gf2.matmul(packed(a), packed(b))
+        assert len(got) == dim
+        assert all(type(r) is int for r in got)
+        want = a.astype(np.float32) @ b.astype(np.float32) % 2
+        assert np.array_equal(unpacked(got, dim), want)
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_rank_matches_numpy_mod_2_at_kernel_sizes(dim):
+    rng = np.random.default_rng(20 + dim)
+    for make in (mixed_matrix, single_bit_matrix):
+        mat = make(rng, dim, dim)
+        assert gf2.rank(packed(mat), dim) == numpy_rank_mod_2(mat)
+    perm = np.eye(dim, dtype=np.uint8)[rng.permutation(dim)]
+    assert gf2.rank(packed(perm), dim) == dim

@@ -706,6 +706,35 @@ class TestFlatStorage:
         assert np.array_equal(net.theta[:64], encode.kernel.weights.ravel())
         assert np.array_equal(net.theta, flat(p for p, _ in net.parameters()))
 
+    def test_a_subset_of_placed_layers_is_refused(self):
+        net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=5)
+        encode, decode, head = net.param_layers()
+        with pytest.raises(ValueError, match=re.escape("layer 1 (conv)")):
+            Network([encode, head])
+        with pytest.raises(ValueError, match=re.escape("layer 1 (conv)")):
+            Network([decode, encode])
+        encode.kernel.weights[:] = 7.0
+        assert (net.theta[:encode.kernel.weights.size] == 7.0).all()
+        assert np.array_equal(net.theta, flat(p for p, _ in net.parameters()))
+
+    def test_placed_layers_mixed_with_fresh_ones_are_refused(self):
+        rng = np.random.default_rng(0)
+        net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=5)
+        head = ConvLayer.create(rng, 8, 1, 1, 1)
+        with pytest.raises(ValueError, match=re.escape("layer 4 (conv)")):
+            Network([*net.layers[:-2], head, SigmoidLayer()])
+        with pytest.raises(ValueError, match=re.escape("layer 0 (conv)")):
+            Network([head, *net.layers])
+        assert np.array_equal(net.theta, flat(p for p, _ in net.parameters()))
+
+    def test_a_run_of_placed_layers_shares_and_fresh_layers_do_not(self):
+        net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=5)
+        tail = Network(net.layers[2:])
+        assert np.shares_memory(tail.theta, net.theta)
+        assert tail.theta.size == sum(p.size for p, _ in tail.parameters())
+        fresh = Network(block_core(np.random.default_rng(0)))
+        assert not np.shares_memory(fresh.theta, net.theta)
+
 
 class TestBlockPrediction:
     """The core's 16-code table, read on every block of the network's
@@ -731,9 +760,8 @@ class TestBlockPrediction:
         assert np.abs(pred - dense).max() <= 1e-15
 
     @pytest.mark.parametrize("layers,named", [
-        (lambda rng: build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP,
-                                 seed=0).layers[:-2]
-         + [ConvLayer.create(rng, 8, 1, 3, 1), SigmoidLayer()],
+        (lambda rng: block_core(rng)[:-2]
+         + [ConvLayer.create(rng, 2, 1, 3, 1), SigmoidLayer()],
          "layer 4 (conv)"),
         (lambda rng: [WrapShiftLayer(), *block_core(rng)],
          "layer 6 (sigmoid)"),

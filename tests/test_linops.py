@@ -52,6 +52,12 @@ class TestZigzag:
         with pytest.raises(ValueError):
             devectorize_zigzag(np.zeros(15, dtype=np.uint8), 4)
 
+    @pytest.mark.parametrize("vec", [[2, 0, 0, 0], [0.5, 0, 0, 0],
+                                     [0, 0, -1, 0], [0, np.nan, 0, 0]])
+    def test_devectorize_rejects_non_binary_entries(self, vec):
+        with pytest.raises(ValueError, match="0 or 1"):
+            devectorize_zigzag(vec, 2)
+
     def test_all_zero_vector_gives_dead_grid(self):
         assert (devectorize_zigzag(np.zeros(16, dtype=np.uint8), 4) == 0).all()
 
@@ -94,6 +100,26 @@ class TestPhaseOperator:
                               vectorize_zigzag(ca.step(g, Phase.ALIGNED)))
 
 
+    @pytest.mark.parametrize("n", [2, 4, 32])
+    def test_matches_a_per_block_live_count_loop(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.3, 0.5, 0.7, 1.0):
+            g = ca.random_grid(n, density, rng)
+            vec = vectorize_zigzag(g)
+            rows, bias = [], 0
+            for base in range(0, n * n, 4):
+                count = int(vec[base:base + 4].sum())
+                order = (3, 2, 1, 0) if count == 3 else (0, 1, 2, 3)
+                rows.extend(1 << (base + j) for j in order)
+                if count != 2:
+                    bias |= 0b1111 << base
+            op = build_phase_operator(g)
+            assert op.rows == tuple(rows)
+            assert op.bias == bias
+            assert type(op.bias) is int
+            assert all(type(r) is int for r in op.rows)
+
+
 class TestWrapPermutation:
     def test_n2_moves_origin_to_opposite_corner(self):
         w = build_wrap_permutation(2)
@@ -122,6 +148,26 @@ class TestWrapPermutation:
         shifted = np.roll(g, (1, 1), axis=(0, 1))
         assert np.array_equal(apply_operator(w, vectorize_zigzag(g)),
                               vectorize_zigzag(shifted))
+
+
+class TestApplyOperator:
+    @pytest.mark.parametrize("vec", [[2, 0, 0, 0], [0.5, 0, 0, 0],
+                                     [0, 0, 0, 255], [0, 0, np.inf, 0]])
+    def test_rejects_non_binary_entries(self, vec):
+        op = build_phase_operator(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="0 or 1"):
+            apply_operator(op, vec)
+
+    def test_accepts_binary_entries_of_any_dtype(self):
+        op = build_phase_operator(np.zeros((2, 2), dtype=np.uint8))
+        for vec in ([1, 0, 0, 0], [1.0, 0.0, 0.0, 0.0],
+                    np.array([True, False, False, False])):
+            assert apply_operator(op, vec).tolist() == [0, 1, 1, 1]
+
+    def test_rejects_a_vector_of_the_wrong_length(self):
+        op = build_phase_operator(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="length 4"):
+            apply_operator(op, [0, 0, 0])
 
 
 class TestCompose:

@@ -330,11 +330,6 @@ def read_grid(path) -> np.ndarray:
     return parse_grid(_read_text(path))
 
 
-def write_grid(path, grid) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(format_grid(grid))
-
-
 def read_trajectory(path) -> list[np.ndarray]:
     return parse_trajectory(_read_text(path))
 

@@ -89,13 +89,13 @@ def block_form(net: Network):
 
     `partition` is the (Phase, EdgeMode) whose frame (see ca.to_frame) the
     leading WrapShiftLayer or Pad1Layer builds, or ALIGNED_PARTITION, and
-    `core` a Network of the layers inside that frame, sharing the
-    network's theta and grad.  The core is checked to be block-local: a
-    2x2 stride-2 conv, then 1x1 stride-1 convs and pointwise layers around
-    exactly one 2x2 stride-2 deconv, ending in its only sigmoid, the head.
-    So the network's output on each block of the partition depends on that
-    block's 4-bit code alone.  Anything else raises ValueError naming the
-    offending layer.
+    `core` the list of the network's own layers inside that frame, whose
+    kernels are views of the network's theta and grad.  The core is checked
+    to be block-local: a 2x2 stride-2 conv, then 1x1 stride-1 convs and
+    pointwise layers around exactly one 2x2 stride-2 deconv, ending in its
+    only sigmoid, the head.  So the network's output on each block of the
+    partition depends on that block's 4-bit code alone.  Anything else
+    raises ValueError naming the offending layer.
     """
     layers = list(net.layers)
     lead = layers[0] if layers and type(layers[0]) in _LEADS else None
@@ -131,23 +131,23 @@ def block_form(net: Network):
         i = heads[0] if heads else len(layers) - 1
         raise ValueError(f"layer {offset + i} ({layers[i].kind}) is not the "
                          f"head: the core must end in its only sigmoid")
-    return partition, Network(layers)
+    return partition, layers
 
 
-def code_forward(core: Network):
-    """A block-form core (see block_form) run on the 16 block codes as row
-    stacks: (logits, probs, caches), (16, 4) before and after the head, row
-    c for code c, cells TL, TR, BL, BR.
+def code_forward(core):
+    """A block-form core (see block_form), a list of layers, run on the 16
+    block codes as row stacks: (logits, probs, caches), (16, 4) before and
+    after the head, row c for code c, cells TL, TR, BL, BR.
 
     The leading conv takes the 16 blocks of CODE_BATCH to 16 block rows,
     (16, C, 1, 1); the deconv's (16, O, 2, 2) output is laid out as 64 cell
     rows, code-major, (64, O, 1, 1); the 1x1 convs and pointwise layers act
     on the rows they are given.  Each layer runs its own forward, so this is
-    Network.forward of the core on CODE_BATCH up to the order of
+    the dense forward of the same layers on CODE_BATCH up to the order of
     floating-point sums.
     """
     x, caches = CODE_BATCH, []
-    for layer in core.layers[:-1]:
+    for layer in core[:-1]:
         x, cache = layer.forward(x)
         caches.append(cache)
         if isinstance(layer, DeconvLayer):
@@ -156,22 +156,22 @@ def code_forward(core: Network):
         raise ValueError(f"network maps the 16 blocks to rows of "
                          f"{x.shape[1]} channels, not one channel per block")
     logits = x.reshape(16, 4)
-    probs, cache = core.layers[-1].forward(logits)
+    probs, cache = core[-1].forward(logits)
     return logits, probs, [*caches, cache]
 
 
-def code_backward(core: Network, grad: np.ndarray, caches) -> None:
+def code_backward(core, grad: np.ndarray, caches) -> None:
     """Backpropagate `grad`, the (16, 4) gradient of a loss with respect to
-    code_forward's probs, through the core, given that pass's caches.
+    code_forward's probs, through the core's layers, given that pass's
+    caches.
 
     Each layer runs its own backward on the row stacks code_forward gave
     it, so each conv and deconv writes into its grad_weights and grad_bias
-    (views of the network's grad, see block_form) what Network.backward of
-    the same loss on CODE_BATCH would write there.
+    (views of the network's grad, see block_form) what the dense backward
+    of the same loss through those layers on CODE_BATCH would write there.
     """
-    layers = core.layers
-    grad = layers[-1].backward(grad, caches[-1]).reshape(64, 1, 1, 1)
-    for layer, cache in zip(layers[-2::-1], caches[-2::-1]):
+    grad = core[-1].backward(grad, caches[-1]).reshape(64, 1, 1, 1)
+    for layer, cache in zip(core[-2::-1], caches[-2::-1]):
         if isinstance(layer, DeconvLayer):
             grad = grad.reshape(16, 2, 2, -1).transpose(0, 3, 1, 2)
         grad = layer.backward(grad, cache)

@@ -52,8 +52,9 @@ WITNESS_ROWS = 2048
 
 
 def lower_network(net: Network) -> list[tuple]:
-    """Lower the core of a network in block form (see models.block_form)
-    to [('affine', M, b) | ('relu',)] stages.
+    """Lower the core of a network in block form (see models.block_form),
+    the network's own layers inside its partition frame, to
+    [('affine', M, b) | ('relu',)] stages.
 
     The stages map the 4 cells of a block to its 4 logits; their shapes do
     not depend on the grid size.  block_form checks that the core ends in
@@ -63,7 +64,7 @@ def lower_network(net: Network) -> list[tuple]:
     _, core = block_form(net)
     stages = []
     shape = (1, 2, 2)  # one block; stages index its cells TL, TR, BL, BR
-    for layer in core.layers[:-1]:
+    for layer in core[:-1]:
         # block_form's windows tile their input: stride equals kernel size.
         if isinstance(layer, ConvLayer):
             k = layer.kernel

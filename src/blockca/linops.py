@@ -157,13 +157,10 @@ def build_full_step_operator(grid) -> AffineOperator:
 
 def format_operator(op: AffineOperator) -> str:
     """Dump format: dim, then dim rows of 0/1 characters, then the bias."""
-    lines = [str(op.dim)]
-    for row in op.rows:
-        lines.append("".join("1" if (row >> c) & 1 else "0"
-                             for c in range(op.dim)))
-    lines.append("".join("1" if (op.bias >> c) & 1 else "0"
-                         for c in range(op.dim)))
-    return "\n".join(lines) + "\n"
+    # Bit c is character c: each row is its low dim bits, reversed.
+    mask, spec = (1 << op.dim) - 1, f"0{op.dim}b"
+    lines = [format(row & mask, spec)[::-1] for row in (*op.rows, op.bias)]
+    return "\n".join([str(op.dim), *lines]) + "\n"
 
 
 class OperatorFormatError(ValueError):

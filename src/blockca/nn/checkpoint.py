@@ -55,7 +55,7 @@ def _is_count(word: str) -> bool:
     return word.isdigit() and len(word) <= 18
 
 
-def _read_layer(f, size: int):
+def _read_layer(f, size: int, index: int):
     line = f.readline()
     fields = line.decode("ascii", "replace").split()
     kind, dims = (fields[1], fields[2:]) if len(fields) > 1 else (None, [])
@@ -64,6 +64,13 @@ def _read_layer(f, size: int):
             raise CheckpointFormatError(f"{kind} descriptor needs six "
                                         f"integers, got {line!r}")
         out_c, in_c, kh, kw, stride, bias_len = map(int, dims)
+        # The bias sits on the side the layer emits: a deconv stores the
+        # kernel of the conv it is the adjoint of.
+        emits = out_c if kind == "conv" else in_c
+        if bias_len != emits:
+            raise CheckpointFormatError(
+                f"layer {index} ({kind}) has {bias_len} bias entries but "
+                f"emits {emits} channels")
         weights = _read_array(f, (out_c, in_c, kh, kw), size)
         bias = _read_array(f, (bias_len,), size)
         try:
@@ -113,7 +120,7 @@ def load_network(path) -> Network:
                 or line != f"layers {int(head[1])}\n".encode("ascii"):
             raise CheckpointFormatError(f"expected 'layers <count>', "
                                         f"got {line!r}")
-        layers = [_read_layer(f, size) for _ in range(int(head[1]))]
+        layers = [_read_layer(f, size, i) for i in range(int(head[1]))]
         if f.read(1):
             raise CheckpointFormatError("bytes after the last declared layer")
     _check_chain(layers)

@@ -121,8 +121,11 @@ class _KernelLayer:
 
     grad_weights and grad_bias keep their arrays: backward writes into
     them, and assigning one copies into it, so a Network's grad (whose
-    views they are) sees every write.
+    views they are) sees every write.  `placed` is set once a Network has
+    moved the layer's arrays into its vectors.
     """
+
+    placed = False
 
     def __init__(self, kernel: KernelSpec):
         self.kernel = kernel
@@ -146,8 +149,9 @@ class _KernelLayer:
         self._grad_bias[...] = value
 
     def parameters(self):
-        return [(self.kernel.weights, lambda: self.grad_weights),
-                (self.kernel.bias, lambda: self.grad_bias)]
+        """(parameter, gradient) array pairs: the weights, then the bias."""
+        return [(self.kernel.weights, self.grad_weights),
+                (self.kernel.bias, self.grad_bias)]
 
 
 class ConvLayer(_KernelLayer):
@@ -317,46 +321,32 @@ class Network:
     The network keeps its parameters in one flat float64 vector, `theta`,
     and their gradients in another, `grad`: every conv and deconv layer's
     kernel.weights and kernel.bias, and its grad_weights and grad_bias, are
-    views of them in parameters() order, so kernel arrays are written
-    through, never rebound.  A network whose kernel layers are an unbroken
-    run, in order, of the layers one network placed (as block_form's core
-    is) shares that network's vectors; fresh layers are moved into new
-    ones, each layer recording its span of them.  Any other use of placed
-    layers raises ValueError: moving them would leave the network that
-    placed them stepping vectors that no longer hold them.
+    moved into views of them in parameters() order, so kernel arrays are
+    written through, never rebound.  A kernel layer that another network
+    placed is refused with ValueError: moving it would leave that network
+    stepping vectors that no longer hold it.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
         owners = self.param_layers()
-        spans = [getattr(layer, "_span", None) for layer in owners]
-        if any(spans):
-            # Each kernel layer must be placed and, after the first, start
-            # where the one before it ends, in the same vectors.
-            for i, (a, b) in enumerate(zip([spans[0], *spans], spans)):
-                if b is None or i and (a[0] is not b[0] or a[3] != b[2]):
-                    layer = owners[i]
-                    raise ValueError(
-                        f"layer {self.layers.index(layer)} ({layer.kind}) "
-                        f"breaks the run of kernel layers another network "
-                        f"placed; share an unbroken run of them, in order, "
-                        f"or build from fresh layers")
-            theta, grad, lo, _ = spans[0]
-            hi = spans[-1][3]
-            self.theta, self.grad = theta[lo:hi], grad[lo:hi]
-            return
+        for layer in owners:
+            if layer.placed:
+                raise ValueError(
+                    f"layer {self.layers.index(layer)} ({layer.kind}) is "
+                    f"placed in another network; build from fresh layers")
         size = sum(p.size for p, _ in self.parameters())
         self.theta, self.grad = np.empty(size), np.empty(size)
         at = 0
         for layer in owners:
-            k, lo = layer.kernel, at
+            k = layer.kernel
             k.weights = _place(self.theta, at, k.weights)
             layer._grad_weights = _place(self.grad, at, layer.grad_weights)
             at += k.weights.size
             k.bias = _place(self.theta, at, k.bias)
             layer._grad_bias = _place(self.grad, at, layer.grad_bias)
             at += k.bias.size
-            layer._span = (self.theta, self.grad, lo, at)
+            layer.placed = True
 
     def forward(self, x):
         caches = []

@@ -1,5 +1,8 @@
 """Command-line surface: flags, file formats, exit codes, determinism."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,7 +66,7 @@ class TestSimulate:
     def test_zero_steps_echoes_input(self, tmp_path):
         grid_file = tmp_path / "grid.txt"
         g = ca.random_grid(6, 0.5, 3)
-        ca.write_grid(grid_file, g)
+        grid_file.write_text(ca.format_grid(g), encoding="ascii")
         out = tmp_path / "out.txt"
         assert run("simulate", "--grid", grid_file, "--steps", "0",
                    "--out", out) == 0
@@ -76,7 +79,7 @@ class TestSimulate:
                    "--out", fwd) == 0
         forward = ca.read_trajectory(fwd)
         last = tmp_path / "last.txt"
-        ca.write_grid(last, forward[-1])
+        last.write_text(ca.format_grid(forward[-1]), encoding="ascii")
         bwd = tmp_path / "bwd.txt"
         assert run("simulate", "--grid", last, "--steps", "5",
                    "--direction", "bwd", "--out", bwd) == 0
@@ -85,7 +88,8 @@ class TestSimulate:
 
     def test_invert_equals_simulate_backward(self, tmp_path):
         grid_file = tmp_path / "g.txt"
-        ca.write_grid(grid_file, ca.random_grid(6, 0.5, 9))
+        grid_file.write_text(ca.format_grid(ca.random_grid(6, 0.5, 9)),
+                             encoding="ascii")
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         assert run("invert", "--grid", grid_file, "--steps", "3",
                    "--out", a) == 0
@@ -383,6 +387,32 @@ class TestTrainEvalRollout:
         assert main(["eval", "--checkpoint", str(ckpt), "--n", "8",
                      "--count", "10", "--seed", "1"]) == 2
         assert "takes 3 channels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,named", [
+        # The head conv emits 1 channel and the deconv 8: a bias of the
+        # other side's length is refused.
+        (b"layer conv 1 8 1 1 1 1\n", b"layer conv 1 8 1 1 1 8\n",
+         "layer 4 (conv) has 8 bias entries"),
+        (b"layer deconv 16 8 2 2 2 8\n", b"layer deconv 16 8 2 2 2 16\n",
+         "layer 2 (deconv) has 16 bias entries"),
+    ])
+    def test_checkpoint_bias_on_the_wrong_side_exits_2(self, tmp_path, capsys,
+                                                       old, new, named):
+        ckpt = tmp_path / "bias.ckpt"
+        save_network(build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=1),
+                     ckpt)
+        data = ckpt.read_bytes()
+        at = data.index(old) + len(old)
+        dims = [int(word) for word in old.split()[2:]]
+        weights_end = at + 8 * math.prod(dims[:4])
+        bias = np.full(int(new.split()[-1]), 0.5).astype("<f8").tobytes()
+        ckpt.write_bytes(data[:at - len(old)] + new + data[at:weights_end]
+                         + bias + data[weights_end + 8 * dims[-1]:])
+        with pytest.raises(CheckpointFormatError, match=re.escape(named)):
+            load_network(ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--n", "8",
+                     "--count", "10", "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}")
 
     @pytest.mark.parametrize("decode", [False, True])
     def test_chained_checkpoint_of_the_wrong_shape_loads_and_exits_3(

@@ -1,5 +1,7 @@
 """Backprop vs central finite differences on every layer kind."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,16 @@ def assert_close(got, want):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def dense_copy(core):
+    """A Network of fresh layers holding copies of a block-form core's
+    kernels (see block_form): the dense reference for its row form."""
+    return Network([
+        type(layer)(dataclasses.replace(
+            layer.kernel, weights=layer.kernel.weights.copy(),
+            bias=layer.kernel.bias.copy()))
+        if hasattr(layer, "kernel") else layer for layer in core])
+
+
 def code_step(core, counts):
     """BCE of a core's 16-code table on (16, 4, 2) key_counts, backpropagated
     through the core: code_forward, counted_bce_loss, code_backward, the
@@ -61,7 +73,7 @@ def test_zero_loss_gradient_gives_zero_parameter_gradients():
     _, caches = net.forward(x)
     net.backward(np.zeros((2, 4, 2, 2)), caches)
     for _, grad in net.parameters():
-        assert not grad().any()
+        assert not grad.any()
 
 
 def test_single_linear_layer_gradient_is_input_outer_product():
@@ -127,7 +139,7 @@ def test_training_step_gradient_matches_finite_differences_in_theta(task):
     # The 16 codes cannot be redrawn as draw_input_with_margin redraws
     # inputs, so the seed is fixed and every ReLU pre-activation on them
     # is checked to lie ten finite-difference steps clear of the kink.
-    assert relu_margin(core, CODE_BATCH) > 10 * FD_STEP
+    assert relu_margin(dense_copy(core), CODE_BATCH) > 10 * FD_STEP
     ds = generate_dataset(16, 32, direction, phase, edge, seed=51)
     counts = key_counts(pack_keys(partition, ds.inputs, ds.targets))
     code_step(core, counts)
@@ -220,7 +232,7 @@ def test_loss_gradient_through_full_stack_matches_fd_loss_curve():
     before, dpred = bce_loss(pred, t)
     net.backward(dpred, caches)
     for param, grad in net.parameters():
-        param -= 1e-3 * grad()
+        param -= 1e-3 * grad
     after, _ = bce_loss(net.forward(x)[0], t)
     assert after < before
 
@@ -245,13 +257,13 @@ def test_code_space_loss_and_gradients_equal_dense_backprop(phase, edge,
             pred, caches = net.forward(x[:, None].astype(np.float64))
             want, dpred = bce_loss(pred, t[:, None].astype(np.float64))
             net.backward(dpred, caches)
-            dense = [grad().copy() for _, grad in net.parameters()]
+            dense = [grad.copy() for _, grad in net.parameters()]
             counts = key_counts(block_keys(lead, x, t))
             assert counts.sum() == x.size
             loss = code_step(core, counts)
             assert abs(loss - want) <= 1e-12 * want
             for d, (_, grad) in zip(dense, net.parameters()):
-                assert np.abs(grad() - d).max() <= 1e-12 * np.abs(d).max()
+                assert np.abs(grad - d).max() <= 1e-12 * np.abs(d).max()
 
 
 PARTITIONS = {"aligned": (Phase.ALIGNED, EdgeMode.TORUS_WRAP),
@@ -288,25 +300,25 @@ CORES.update({
 def test_row_form_matches_the_dense_core_on_the_code_batch(make):
     rng = np.random.default_rng(29)
     _, core = block_form(make(rng))
-    dense, caches = Network(core.layers[:-1]).forward(CODE_BATCH)
-    dense_probs, cache = core.layers[-1].forward(dense)
+    reference = dense_copy(core[:-1])
+    dense, caches = reference.forward(CODE_BATCH)
+    dense_probs, cache = core[-1].forward(dense)
     logits, probs, _ = code_forward(core)
     assert_close(logits, dense.reshape(16, 4))
     assert_close(probs, dense_probs.reshape(16, 4))
 
     counts = rng.integers(0, 40, size=(16, 4, 2)).astype(np.float64)
     loss = code_step(core, counts)
-    rows = [(layer.grad_weights.copy(), layer.grad_bias.copy())
-            for layer in core.param_layers()]
     want, grad = counted_bce_loss(dense_probs.reshape(16, 4), counts[..., 1],
                                   counts[..., 0], counts.sum())
-    core.backward(grad.reshape(CODE_BATCH.shape), [*caches, cache])
+    reference.backward(core[-1].backward(grad.reshape(CODE_BATCH.shape),
+                                         cache), caches)
     assert abs(loss - want) <= 1e-12 * want
-    for (weights, bias), layer in zip(rows, core.param_layers()):
-        assert_close(weights, layer.grad_weights)
-        assert_close(bias, layer.grad_bias)
-        assert weights.shape == layer.kernel.weights.shape
-        assert bias.shape == layer.kernel.bias.shape
+    owners = [layer for layer in core if hasattr(layer, "kernel")]
+    assert len(owners) == len(reference.param_layers())
+    for layer, dense_layer in zip(owners, reference.param_layers()):
+        assert_close(layer.grad_weights, dense_layer.grad_weights)
+        assert_close(layer.grad_bias, dense_layer.grad_bias)
 
 
 def test_code_forward_rejects_a_head_of_two_channels():

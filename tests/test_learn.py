@@ -144,8 +144,8 @@ class TestBlockForm:
         got, core = block_form(net)
         assert got == partition
         inner = net.layers if phase is Phase.ALIGNED else net.layers[1:-1]
-        assert all(a is b for a, b in zip(core.layers, inner))
-        assert len(core.layers) == len(inner)
+        assert all(a is b for a, b in zip(core, inner))
+        assert len(core) == len(inner)
 
     @pytest.mark.parametrize("layers,named", [
         # A 3x3 head sees neighbouring blocks.
@@ -670,14 +670,31 @@ class TestFlatStorage:
     and gradients, in parameters() order."""
 
     @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
-    def test_block_form_core_shares_the_network_vectors(self, phase, edge,
-                                                        bypass):
+    def test_block_form_core_is_the_network_own_layers(self, phase, edge,
+                                                       bypass):
         net = build_model(phase, edge, bypass_endpoints=bypass, seed=5)
         core = block_form(net)[1]
-        assert np.shares_memory(core.theta, net.theta)
-        assert np.shares_memory(core.grad, net.grad)
-        assert core.theta.size == net.theta.size == sum(
-            p.size for p, _ in net.parameters())
+        assert all(any(layer is own for own in net.layers) for layer in core)
+        owners = [layer for layer in core if hasattr(layer, "kernel")]
+        assert owners == net.param_layers()
+        for layer in owners:
+            assert np.shares_memory(layer.kernel.weights, net.theta)
+            assert np.shares_memory(layer.kernel.bias, net.theta)
+            assert np.shares_memory(layer.grad_weights, net.grad)
+            assert np.shares_memory(layer.grad_bias, net.grad)
+
+    @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
+    def test_parameters_are_array_pairs_viewing_theta_and_grad(
+            self, phase, edge, bypass):
+        net = build_model(phase, edge, bypass_endpoints=bypass, seed=5)
+        pairs = net.parameters()
+        assert len(pairs) == 2 * len(net.param_layers())
+        for param, grad in pairs:
+            assert type(param) is np.ndarray and type(grad) is np.ndarray
+            assert param.shape == grad.shape
+            assert np.shares_memory(param, net.theta)
+            assert np.shares_memory(grad, net.grad)
+        assert sum(p.size for p, _ in pairs) == net.theta.size
 
     @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
     def test_theta_is_the_parameters_after_training(self, phase, edge,
@@ -688,7 +705,7 @@ class TestFlatStorage:
         train(net, ds, dataclasses.replace(SMALL, epochs=1), 0.25)
         assert not np.array_equal(net.theta, before)
         assert np.array_equal(net.theta, flat(p for p, _ in net.parameters()))
-        assert np.array_equal(net.grad, flat(g() for _, g in net.parameters()))
+        assert np.array_equal(net.grad, flat(g for _, g in net.parameters()))
 
     @pytest.mark.parametrize("phase,edge,bypass", VARIANTS)
     def test_loaded_theta_has_the_saved_bytes(self, phase, edge, bypass,
@@ -709,9 +726,9 @@ class TestFlatStorage:
     def test_a_subset_of_placed_layers_is_refused(self):
         net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=5)
         encode, decode, head = net.param_layers()
-        with pytest.raises(ValueError, match=re.escape("layer 1 (conv)")):
+        with pytest.raises(ValueError, match=re.escape("layer 0 (conv)")):
             Network([encode, head])
-        with pytest.raises(ValueError, match=re.escape("layer 1 (conv)")):
+        with pytest.raises(ValueError, match=re.escape("layer 0 (deconv)")):
             Network([decode, encode])
         encode.kernel.weights[:] = 7.0
         assert (net.theta[:encode.kernel.weights.size] == 7.0).all()
@@ -721,17 +738,21 @@ class TestFlatStorage:
         rng = np.random.default_rng(0)
         net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=5)
         head = ConvLayer.create(rng, 8, 1, 1, 1)
-        with pytest.raises(ValueError, match=re.escape("layer 4 (conv)")):
-            Network([*net.layers[:-2], head, SigmoidLayer()])
         with pytest.raises(ValueError, match=re.escape("layer 0 (conv)")):
+            Network([*net.layers[:-2], head, SigmoidLayer()])
+        with pytest.raises(ValueError, match=re.escape("layer 1 (conv)")):
             Network([head, *net.layers])
         assert np.array_equal(net.theta, flat(p for p, _ in net.parameters()))
+        # A refused network moves nothing: the fresh head is still free.
+        assert Network([head]).theta.size == head.kernel.weights.size + 1
 
-    def test_a_run_of_placed_layers_shares_and_fresh_layers_do_not(self):
+    def test_a_run_of_placed_layers_is_refused(self):
         net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=5)
-        tail = Network(net.layers[2:])
-        assert np.shares_memory(tail.theta, net.theta)
-        assert tail.theta.size == sum(p.size for p, _ in tail.parameters())
+        with pytest.raises(ValueError,
+                           match=re.escape("layer 0 (deconv) is placed")):
+            Network(net.layers[2:])
+        with pytest.raises(ValueError, match=re.escape("layer 0 (conv)")):
+            Network(block_form(net)[1])
         fresh = Network(block_core(np.random.default_rng(0)))
         assert not np.shares_memory(fresh.theta, net.theta)
 
@@ -864,12 +885,11 @@ class TestBlockEvaluation:
         real = rollout_module.code_forward
 
         def counted(core):
-            cores.append(core.layers)
+            cores.append(core)
             return real(core)
         monkeypatch.setattr(rollout_module, "code_forward", counted)
         trajectory, _ = rollout(net_a, net_o, g, steps=10)
-        assert cores == [block_form(net_a)[1].layers,
-                         block_form(net_o)[1].layers]
+        assert cores == [block_form(net_a)[1], block_form(net_o)[1]]
         assert all(np.array_equal(a, b) for a, b in zip(trajectory, want))
 
     def test_evaluate_runs_the_core_once(self, monkeypatch):
@@ -880,11 +900,11 @@ class TestBlockEvaluation:
         real = rollout_module.code_forward
 
         def counted(core):
-            cores.append(core.layers)
+            cores.append(core)
             return real(core)
         monkeypatch.setattr(rollout_module, "code_forward", counted)
         assert evaluate(net, ds) == want
-        assert cores == [block_form(net)[1].layers]
+        assert cores == [block_form(net)[1]]
 
     def test_evaluate_tensors_scores_the_given_table(self, monkeypatch):
         net = centred_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, False, 5)

@@ -270,6 +270,21 @@ class TestOperatorDump:
         op = AffineOperator(2, (0b01, 0b11), 0b10)
         assert format_operator(op) == "2\n10\n11\n01\n"
 
+    @pytest.mark.parametrize("dim", [1, 7, 8, 64, 1024])
+    def test_layout_matches_a_per_bit_reference(self, dim):
+        rng = np.random.default_rng(dim)
+
+        def draw():
+            # Some bits above dim too: only the low dim bits are written.
+            return int.from_bytes(rng.bytes(dim // 8 + 2), "little")
+
+        def bits(value):
+            return "".join("1" if (value >> c) & 1 else "0"
+                           for c in range(dim))
+        op = AffineOperator(dim, tuple(draw() for _ in range(dim)), draw())
+        want = [str(dim), *map(bits, (*op.rows, op.bias))]
+        assert format_operator(op) == "\n".join(want) + "\n"
+
     @pytest.mark.parametrize("text", ["", " \n\n"])
     def test_empty_text_rejected(self, text):
         with pytest.raises(OperatorFormatError, match="empty"):

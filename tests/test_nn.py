@@ -312,7 +312,7 @@ class TestOptimizers:
             for net in nets:
                 pred, caches = net.forward(x)
                 net.backward(bce_loss(pred, t)[1], caches)
-                grads.append([g().copy() for _, g in net.parameters()])
+                grads.append([g.copy() for _, g in net.parameters()])
             opt.step()
             reference(grads[1])
             for (a, _), b in zip(nets[0].parameters(), params):

@@ -292,7 +292,7 @@ def test_two_step_witness_over_several_row_blocks(trained_nets, index):
 def _poisoned(phase, edge, seed, value):
     """A build_model network with one encode weight set to `value`."""
     net = build_model(phase, edge, seed=seed)
-    block_form(net)[1].layers[0].kernel.weights[0, 0, 0, 0] = value
+    block_form(net)[1][0].kernel.weights[0, 0, 0, 0] = value
     return net
 
 

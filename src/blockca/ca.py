@@ -116,7 +116,8 @@ def validate_grids(grids) -> np.ndarray:
 
     The last two axes must be square with an even side of at least 2, and
     every cell must be 0 or 1.  A single (n, n) grid is a stack with no
-    leading axes.
+    leading axes.  A uint8 stack is returned as it is; any other dtype is
+    copied.  No blockca code writes into a stack it has checked.
     """
     g = np.asarray(grids)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
@@ -126,7 +127,7 @@ def validate_grids(grids) -> np.ndarray:
         raise ValueError(f"grid side must be even and >= 2, got {n}")
     if not ((g == 0) | (g == 1)).all():
         raise ValueError("grid cells must be 0 or 1")
-    return g.astype(np.uint8)
+    return g.astype(np.uint8, copy=False)
 
 
 def validate_grid(grid) -> np.ndarray:
@@ -223,6 +224,7 @@ def evolve(grid, steps: int, edge: EdgeMode = EdgeMode.TORUS_WRAP,
     Backward trajectories undo a forward trajectory of the same length:
     inverse steps are applied with the phase order reversed, so evolving
     forward then backward over the same step count returns the start grid.
+    Frame 0 is `grid` itself when it is a uint8 array (see validate_grids).
     """
     g = validate_grids(grid)
     if steps < 0:

@@ -89,6 +89,7 @@ def rollout(model_aligned, model_offset, grids, steps: int):
     start; returns (trajectory, divergence): steps+1 frames shaped like
     `grids`, and the 1-based index of the first mismatching frame, or
     steps+1 if the whole rollout is exact, per start grid (an int for one).
+    Frame 0 is a view of `grids` when that is uint8 (see validate_grids).
     """
     g = validate_grids(grids)
     if steps < 1:

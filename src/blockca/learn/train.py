@@ -4,10 +4,10 @@ Training runs in block-code space.  A build_model network maps every block
 of its partition on its own, so the loss of a minibatch is a sum over the
 16 block codes, weighted by how often each (code, cell, target bit) occurs.
 Each sample is read as its row of 12-bit block keys (see block_keys), and
-supervised training packs the keys of its whole dataset once (see
-pack_keys).  Each step (see fit) runs the network's core forward once on
-the 16 codes, as row stacks (see models.code_forward), instead of on the
-whole batch; reads the keys of its minibatch, which may depend on that
+supervised training packs the keys of its whole dataset once, KEY_CHUNK
+grids at a time.  Each step (see fit) runs the network's core forward once
+on the 16 codes, as row stacks (see models.code_forward), instead of on
+the whole batch; reads the keys of its minibatch, which may depend on that
 forward's 16-code table (commute labels do); counts them and runs the
 core's backward once (see models.code_backward).  Held-out evaluation
 scores the same keys: the loss from the core's 16-code table, every bit
@@ -119,7 +119,7 @@ def evaluate_tensors(mapped: BlockTable, keys: np.ndarray) -> EvalResult:
 def evaluate(model, dataset: Dataset) -> EvalResult:
     """evaluate_tensors of tabulate(model) on a whole dataset."""
     mapped = tabulate(model)
-    return evaluate_tensors(mapped, pack_keys(
+    return evaluate_tensors(mapped, block_keys(
         mapped.partition, mapped.frame(dataset.inputs), dataset.targets))
 
 
@@ -133,53 +133,37 @@ _SCORES = (_CELL_BITS[None, :, :, None]
            ).reshape(256, 8).astype(np.float64)
 
 
-def _check_stacks(inputs, targets) -> None:
-    """Raise ValueError unless inputs is a (count, n, n) stack and targets
-    has its shape."""
+# Grids per chunk in block_keys, which bounds its work arrays however
+# large the stack.
+KEY_CHUNK = 1000
+
+
+def block_keys(partition, inputs, targets) -> np.ndarray:
+    """(count, blocks) 12-bit keys of the blocks of `partition` of two
+    (count, n, n) grid stacks: input code << 8 | target code << 4 | mask
+    code.  Both shapes are checked first; then each KEY_CHUNK grids of both
+    stacks are checked by ca.validate_grids and packed.
+
+    The mask code marks the cells of a block that ca.from_frame keeps; it
+    depends only on the partition and the grid side, so it is taken once
+    from an (n, n) ones grid in the partition's frame (see ca.to_frame).
+    """
     if np.ndim(inputs) != 3:
         raise ValueError(f"expected a (count, n, n) grid stack, got shape "
                          f"{np.shape(inputs)}")
     if np.shape(targets) != np.shape(inputs):
         raise ValueError(f"target shape {np.shape(targets)} != grid shape "
                          f"{np.shape(inputs)}")
-
-
-def block_keys(partition, inputs, targets) -> np.ndarray:
-    """(N, blocks) 12-bit keys of the blocks of `partition` of (N, n, n)
-    input and target grid stacks, each checked by ca.validate_grids:
-    input code << 8 | target code << 4 | mask code.
-
-    The mask code marks the cells of a block that ca.from_frame keeps; it
-    depends only on the partition and the grid side, so it is taken once
-    from an (n, n) ones grid in the partition's frame (see ca.to_frame).
-    """
-    _check_stacks(inputs, targets)
-    frame = np.stack([validate_grids(inputs), validate_grids(targets)],
-                     axis=1)
-    codes = block_codes(to_frame(frame, *partition)).astype(np.uint16)
-    mask = block_codes(to_frame(np.ones(frame.shape[-2:], np.uint8),
+    mask = block_codes(to_frame(np.ones(np.shape(inputs)[1:], np.uint8),
                                 *partition))
-    keys = codes[:, 0] << 8 | codes[:, 1] << 4 | mask
-    return keys.reshape(len(keys), -1)
-
-
-# Grids per block_keys call in pack_keys, which bounds its work arrays
-# however large the dataset.
-KEY_CHUNK = 1000
-
-
-def pack_keys(partition, inputs, targets) -> np.ndarray:
-    """block_keys of `partition` of two (count, n, n) grid stacks, packed
-    KEY_CHUNK grids at a time into one (count, blocks) array; both stacks'
-    shapes are checked before the first chunk."""
-    _check_stacks(inputs, targets)
-    side = to_frame(np.zeros(np.shape(inputs)[-2:], np.uint8),
-                    *partition).shape[-1]
-    keys = np.empty((len(inputs), (side // 2) ** 2), np.uint16)
+    keys = np.empty((len(inputs), *mask.shape), np.uint16)
     for lo in range(0, len(inputs), KEY_CHUNK):
-        hi = lo + KEY_CHUNK
-        keys[lo:hi] = block_keys(partition, inputs[lo:hi], targets[lo:hi])
-    return keys
+        chunk = slice(lo, lo + KEY_CHUNK)
+        frame = np.stack([validate_grids(inputs[chunk]),
+                          validate_grids(targets[chunk])], axis=1)
+        codes = block_codes(to_frame(frame, *partition)).astype(np.uint16)
+        keys[chunk] = codes[:, 0] << 8 | codes[:, 1] << 4 | mask
+    return keys.reshape(len(keys), -1)
 
 
 def key_counts(keys: np.ndarray) -> np.ndarray:
@@ -265,7 +249,7 @@ def train(model: Network, dataset: Dataset, config: TrainConfig,
     if len(dataset) < 10:
         raise ValueError("dataset must hold at least 10 pairs")
     n_test = split_holdout(len(dataset), holdout_fraction)
-    keys = pack_keys(block_form(model)[0], dataset.inputs, dataset.targets)
+    keys = block_keys(block_form(model)[0], dataset.inputs, dataset.targets)
     history = fit(model, lambda idx, _: keys[idx], len(dataset) - n_test,
                   n_test, config, np.random.default_rng(config.seed))
     return history, model

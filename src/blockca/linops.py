@@ -26,33 +26,43 @@ from . import gf2
 from .ca import validate_grid
 
 
+def _zigzag(cells: np.ndarray) -> np.ndarray:
+    """An (n, n) array read block-major, each block TL, TR, BL, BR: the one
+    statement of the zigzag layout, undone by _unzigzag."""
+    n = cells.shape[0]
+    return cells.reshape(n // 2, 2, n // 2, 2).transpose(0, 2, 1, 3).flatten()
+
+
+def _unzigzag(vec: np.ndarray, n: int) -> np.ndarray:
+    """The (n, n) array that _zigzag reads as vec."""
+    return (vec.reshape(n // 2, n // 2, 2, 2).transpose(0, 2, 1, 3)
+            .reshape(n, n))
+
+
 def vectorize_zigzag(grid) -> np.ndarray:
     """Flatten a grid block-major, each block read TL, TR, BL, BR."""
-    g = validate_grid(grid)
-    n = g.shape[0]
-    return g.reshape(n // 2, 2, n // 2, 2).transpose(0, 2, 1, 3).reshape(-1)
+    return _zigzag(validate_grid(grid))
 
 
 def _binary_vector(vec, dim: int, what: str) -> np.ndarray:
     """vec as a uint8 vector of length dim, every entry checked to be 0 or
     1 before the cast, which would keep a 2 (read as 1 when packed) and
-    truncate 0.5 to 0."""
+    truncate 0.5 to 0.  A uint8 vec is returned as it is, not copied."""
     v = np.asarray(vec)
     if v.shape != (dim,):
         raise ValueError(f"{what} expects a vector of length {dim}, "
                          f"got shape {v.shape}")
     if not np.all((v == 0) | (v == 1)):
         raise ValueError(f"{what} expects entries of 0 or 1")
-    return v.astype(np.uint8)
+    return v.astype(np.uint8, copy=False)
 
 
 def devectorize_zigzag(vec, n: int) -> np.ndarray:
     """Exact inverse of vectorize_zigzag."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"grid side must be even and >= 2, got {n}")
-    v = _binary_vector(vec, n * n, "devectorize_zigzag")
-    return (v.reshape(n // 2, n // 2, 2, 2)
-             .transpose(0, 2, 1, 3).reshape(n, n).copy())
+    return _unzigzag(_binary_vector(vec, n * n, "devectorize_zigzag"),
+                     n).copy()
 
 
 @dataclass(frozen=True)
@@ -110,25 +120,18 @@ def build_phase_operator(grid) -> AffineOperator:
     return AffineOperator(dim, rows, gf2.pack_bits(np.repeat(counts != 2, 4)))
 
 
-def _zigzag_index(i: int, j: int, n: int) -> int:
-    return 4 * ((i // 2) * (n // 2) + j // 2) + 2 * (i % 2) + (j % 2)
-
-
 def build_wrap_permutation(n: int) -> AffineOperator:
     """Permutation W with devectorize(W x) = the grid translated by (+1, +1).
 
-    W is orthogonal over GF(2): its inverse is its transpose.
+    Row i picks the source of zigzag position i: the positions, laid out as
+    cells, rolled by (+1, +1) and read back in zigzag order.  W is
+    orthogonal over GF(2): its inverse is its transpose.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"grid side must be even and >= 2, got {n}")
-    dim = n * n
-    rows = [0] * dim
-    for i in range(n):
-        for j in range(n):
-            dst = _zigzag_index(i, j, n)
-            src = _zigzag_index((i - 1) % n, (j - 1) % n, n)
-            rows[dst] = 1 << src
-    return AffineOperator(dim, tuple(rows), 0)
+    src = _zigzag(np.roll(_unzigzag(np.arange(n * n), n), (1, 1),
+                          axis=(0, 1)))
+    return AffineOperator(n * n, tuple(1 << s for s in src.tolist()), 0)
 
 
 @lru_cache(maxsize=16)

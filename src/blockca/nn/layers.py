@@ -324,17 +324,19 @@ class Network:
     moved into views of them in parameters() order, so kernel arrays are
     written through, never rebound.  A kernel layer that another network
     placed is refused with ValueError: moving it would leave that network
-    stepping vectors that no longer hold it.
+    stepping vectors that no longer hold it; so is a kernel layer listed
+    twice, which would leave entries of theta that no layer views.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
         owners = self.param_layers()
-        for layer in owners:
-            if layer.placed:
-                raise ValueError(
-                    f"layer {self.layers.index(layer)} ({layer.kind}) is "
-                    f"placed in another network; build from fresh layers")
+        for i, layer in enumerate(self.layers):
+            first = self.layers.index(layer)
+            if layer in owners and (first != i or layer.placed):
+                why = (f"repeats layer {first}" if first != i else "is placed "
+                       "in another network; build from fresh layers")
+                raise ValueError(f"layer {i} ({layer.kind}) {why}")
         size = sum(p.size for p, _ in self.parameters())
         self.theta, self.grad = np.empty(size), np.empty(size)
         at = 0

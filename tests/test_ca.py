@@ -468,6 +468,10 @@ class TestValidateGrids:
     def test_binary_cells_accepted(self, cells):
         got = ca.validate_grids(cells)
         assert got.dtype == np.uint8 and np.array_equal(got, cells)
+        # A uint8 stack is returned as it is; any other dtype is copied.
+        uint8 = cells.dtype == np.uint8
+        assert (got is cells) == uint8
+        assert np.shares_memory(got, cells) == uint8
 
     @pytest.mark.parametrize("cell", [2, -1, 0.5, np.nan, np.inf, 255])
     def test_other_cells_rejected(self, cell):

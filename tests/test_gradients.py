@@ -28,7 +28,7 @@ from blockca.nn import (
 from blockca.nn.gradcheck import FD_STEP
 from blockca.learn import block_form, build_model, generate_dataset
 from blockca.learn.models import CODE_BATCH, code_backward, code_forward
-from blockca.learn.train import block_keys, key_counts, pack_keys
+from blockca.learn.train import block_keys, key_counts
 
 # Overlapping (stride < kernel) and gapped (stride > kernel) windows.
 WINDOWS = [(2, 1), (3, 1), (3, 2), (1, 2), (2, 3)]
@@ -141,7 +141,7 @@ def test_training_step_gradient_matches_finite_differences_in_theta(task):
     # is checked to lie ten finite-difference steps clear of the kink.
     assert relu_margin(dense_copy(core), CODE_BATCH) > 10 * FD_STEP
     ds = generate_dataset(16, 32, direction, phase, edge, seed=51)
-    counts = key_counts(pack_keys(partition, ds.inputs, ds.targets))
+    counts = key_counts(block_keys(partition, ds.inputs, ds.targets))
     code_step(core, counts)
     assert np.abs(net.grad).max() > 1e-3
 

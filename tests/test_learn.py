@@ -30,7 +30,7 @@ from blockca.learn.data import verify_dataset
 from blockca.learn.models import ALIGNED_PARTITION
 from blockca.learn.rollout import IDENTITY_TABLE
 from blockca.learn.witness import lower_network, witness_logits
-from blockca.learn.train import KEY_CHUNK, block_keys, fit, pack_keys
+from blockca.learn.train import KEY_CHUNK, block_keys, fit
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
                         ReLULayer, SigmoidLayer, WrapShiftLayer,
                         UnwrapShiftLayer, bce_loss, load_network,
@@ -394,10 +394,10 @@ class TestTrain:
             history, _ = train(net, ds, TrainConfig(epochs=epochs,
                                                     batch_size=16), 0.2)
             assert len(history) == epochs
-            assert sum(rows) == len(ds)
+            assert rows == [len(ds)]
 
 
-class TestPackKeys:
+class TestBlockKeys:
     @pytest.mark.parametrize("partition", [
         (Phase.ALIGNED, EdgeMode.TORUS_WRAP),
         (Phase.OFFSET, EdgeMode.TORUS_WRAP),
@@ -419,26 +419,49 @@ class TestPackKeys:
         (Phase.ALIGNED, EdgeMode.TORUS_WRAP),
         (Phase.OFFSET, EdgeMode.TORUS_WRAP),
         (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP)])
-    @pytest.mark.parametrize("count", [KEY_CHUNK - 300, 2 * KEY_CHUNK + 501])
-    def test_chunks_equal_one_whole_stack(self, partition, count):
+    @pytest.mark.parametrize("count", [KEY_CHUNK - 300, KEY_CHUNK,
+                                       KEY_CHUNK + 1, 2 * KEY_CHUNK + 501])
+    def test_chunks_equal_one_whole_stack(self, monkeypatch, partition,
+                                          count):
         x = random_grids(count, 4, 0.5, count)
         t = step(x, *partition)
+        got = block_keys(partition, x, t)
+        monkeypatch.setattr(train_module, "KEY_CHUNK", count + 1)
         want = block_keys(partition, x, t)
-        got = pack_keys(partition, x, t)
-        assert got.dtype == want.dtype
+        assert got.dtype == want.dtype == np.uint16
         assert np.array_equal(got, want)
-
 
     @pytest.mark.parametrize("inputs,targets", [
         (random_grids(KEY_CHUNK, 4, 0.5, 1),
          random_grids(KEY_CHUNK + 1, 4, 0.5, 2)),
         (random_grid(4, 0.5, 3), random_grid(4, 0.5, 4)),
         (random_grids(1, 4, 0.5, 5)[None], random_grids(1, 4, 0.5, 6)[None]),
-    ], ids=["longer-targets", "one-grid", "nested"])
-    def test_stacks_must_be_count_n_n_of_one_shape(self, inputs, targets):
-        for pack in (pack_keys, block_keys):
-            with pytest.raises(ValueError):
-                pack(ALIGNED_PARTITION, inputs, targets)
+        (random_grids(3, 4, 0.5, 7), random_grids(3, 6, 0.5, 8)),
+    ], ids=["longer-targets", "one-grid", "nested", "other-side"])
+    def test_stacks_must_be_count_n_n_of_one_shape(self, monkeypatch, inputs,
+                                                   targets):
+        seen = []
+        monkeypatch.setattr(train_module, "validate_grids", seen.append)
+        with pytest.raises(ValueError):
+            block_keys(ALIGNED_PARTITION, inputs, targets)
+        assert seen == []
+
+    @pytest.mark.parametrize("partition", [
+        (Phase.ALIGNED, EdgeMode.TORUS_WRAP),
+        (Phase.OFFSET, EdgeMode.TORUS_WRAP),
+        (Phase.OFFSET, EdgeMode.ZERO_PAD_CROP)])
+    def test_mask_is_built_once_per_call(self, monkeypatch, partition):
+        x = random_grids(2 * KEY_CHUNK + 1, 4, 0.5, 9)
+        shapes = []
+        real = train_module.to_frame
+
+        def counted(grids, *args):
+            shapes.append(np.shape(grids))
+            return real(grids, *args)
+        monkeypatch.setattr(train_module, "to_frame", counted)
+        block_keys(partition, x, x)
+        assert shapes == [(4, 4), (KEY_CHUNK, 2, 4, 4), (KEY_CHUNK, 2, 4, 4),
+                          (1, 2, 4, 4)]
 
 
 class TestEvaluate:
@@ -647,7 +670,7 @@ class TestRuleTable:
         the frame must not count."""
         x = all_4x4_grids()
         t = step(x, phase, edge)
-        keys = pack_keys((phase, edge), x, t)
+        keys = block_keys((phase, edge), x, t)
         for code in range(16):
             for cell in range(4):
                 table = BLOCK_TABLE.copy()
@@ -746,6 +769,23 @@ class TestFlatStorage:
         # A refused network moves nothing: the fresh head is still free.
         assert Network([head]).theta.size == head.kernel.weights.size + 1
 
+    def test_a_kernel_layer_listed_twice_is_refused(self):
+        conv = ConvLayer.create(np.random.default_rng(0), 1, 2, 1, 1)
+        before = [p.copy() for p, _ in conv.parameters()]
+        arrays = [p for p, _ in conv.parameters()]
+        with pytest.raises(ValueError, match=re.escape(
+                "layer 1 (conv) repeats layer 0")):
+            Network([conv, conv, SigmoidLayer()])
+        with pytest.raises(ValueError, match=re.escape(
+                "layer 2 (conv) repeats layer 0")):
+            Network([conv, ReLULayer(), conv])
+        assert not conv.placed
+        assert all(a is p for a, (p, _) in zip(arrays, conv.parameters()))
+        assert all(np.array_equal(b, p)
+                   for b, (p, _) in zip(before, conv.parameters()))
+        net = Network([conv, SigmoidLayer()])
+        assert np.array_equal(net.theta, flat(before))
+
     def test_a_run_of_placed_layers_is_refused(self):
         net = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=5)
         with pytest.raises(ValueError,
@@ -827,7 +867,7 @@ def read_keys(model, x, t):
     """The block keys evaluate packs for a grid map: those of the grids
     it reads, in its partition."""
     table = tabulate(model)
-    return pack_keys(table.partition, table.frame(x), t)
+    return block_keys(table.partition, table.frame(x), t)
 
 
 class TestBlockEvaluation:
@@ -911,7 +951,7 @@ class TestBlockEvaluation:
         ds = small_dataset(seed=7)
         want, mapped = evaluate(net, ds), tabulate(net)
         monkeypatch.setattr(train_module, "tabulate", None)
-        assert evaluate_tensors(mapped, pack_keys(
+        assert evaluate_tensors(mapped, block_keys(
             mapped.partition, ds.inputs, ds.targets)) == want
 
     @pytest.mark.parametrize("model", [

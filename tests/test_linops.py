@@ -58,6 +58,14 @@ class TestZigzag:
         with pytest.raises(ValueError, match="0 or 1"):
             devectorize_zigzag(vec, 2)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_results_are_new_arrays(self, n):
+        g = ca.random_grid(n, 0.5, n)
+        vec = vectorize_zigzag(g)
+        back = devectorize_zigzag(vec, n)
+        assert not np.shares_memory(vec, g)
+        assert not np.shares_memory(back, vec)
+
     def test_all_zero_vector_gives_dead_grid(self):
         assert (devectorize_zigzag(np.zeros(16, dtype=np.uint8), 4) == 0).all()
 
@@ -127,6 +135,17 @@ class TestWrapPermutation:
         g[1, 1] = 1
         out = devectorize_zigzag(apply_operator(w, vectorize_zigzag(g)), 2)
         assert out[0, 0] == 1 and out.sum() == 1
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 32, 64])
+    def test_rows_equal_a_per_cell_reference(self, n):
+        def zigzag(i, j):
+            return 4 * ((i // 2) * (n // 2) + j // 2) + 2 * (i % 2) + j % 2
+
+        want = [0] * (n * n)
+        for i in range(n):
+            for j in range(n):
+                want[zigzag(i, j)] = 1 << zigzag((i - 1) % n, (j - 1) % n)
+        assert build_wrap_permutation(n).rows == tuple(want)
 
     def test_is_permutation_with_zero_bias(self):
         w = build_wrap_permutation(8)

@@ -4,11 +4,7 @@ A matrix is a sequence of ints, one per row; bit j of a row is the entry in
 column j.  Vectors use the same packing.  Addition is XOR and a dot product
 is the parity of an AND, so everything here is exact.  Rows must be Python
 ints, never numpy integers: `1 << np.int64(1000)` wraps silently.
-
-The step operators of the automaton are products of permutations and of
-block-diagonal matrices with one bit per row, so `matmul` copies the row of
-B that a single-bit row of A selects, and `matvec` takes one parity per row
-and packs them all at once.
+`matvec` takes one parity per row and packs them all at once.
 """
 
 from __future__ import annotations
@@ -46,12 +42,9 @@ def matvec(rows: Sequence[int], x: int) -> int:
 
 def matmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Row representation of A B: row i of the product XORs the rows of B
-    selected by the set bits of row i of A; a single-bit row selects one."""
+    selected by the set bits of row i of A."""
     out = []
     for row in a:
-        if row.bit_count() == 1:
-            out.append(b[row.bit_length() - 1])
-            continue
         acc = 0
         r = row
         while r:

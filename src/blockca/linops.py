@@ -7,7 +7,9 @@ matrix is block diagonal with 4x4 blocks chosen by each input block's live
 count.  The flip rules add the constant b, which is why the map is affine
 rather than purely linear.  The diagonal shift between partitions is a
 permutation matrix W, giving the two-half-step operator
-W^-1 * B_half * W * B as an explicit matrix-plus-bias pair.
+W^-1 * B_half * W * B as an explicit matrix-plus-bias pair.  Every factor
+has one bit per row and per column, so the product is composed as index
+maps and made into rows once; `compose` is the reference it equals.
 
 The module also lowers strided convolutions and transposed convolutions to
 dense real matrices over the row-major flattening of (channels, height,
@@ -97,65 +99,68 @@ def operator_is_invertible(op: AffineOperator) -> bool:
     return gf2.is_invertible(op.rows, op.dim)
 
 
-def build_phase_operator(grid) -> AffineOperator:
-    """Affine operator of one aligned half-step for this specific state.
-
-    Per aligned block: live count 2 gives the 4x4 identity with zero bias;
-    counts 0, 1, 4 give identity with all-ones bias (flip is x XOR 1); count
-    3 gives the reversal permutation with all-ones bias (flip commutes with
-    the 180 degree rotation).  The rule is read from the live counts, not
-    from ca.BLOCK_TABLE, so the operator is an independent check of it.
-
-    All blocks are handled at once: one reshape gives the live counts, one
-    index array the source cell of every row.  Row i is the Python int
-    1 << src[i]: tolist() yields Python ints, since shifting a numpy integer
-    wraps past 63 bits.
+def _half_step(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(src, flip) such that vec[src] ^ flip is the aligned half-step of the
+    zigzag vector vec.  Per block: live count 2 keeps it, counts 0, 1, 4
+    flip it, count 3 flips and reverses it (flip commutes with the 180
+    degree rotation).  The rule is read from the live counts, one reshape
+    for all blocks, never from ca.BLOCK_TABLE: the operators built from it
+    are an independent check of the simulator.
     """
-    vec = vectorize_zigzag(grid)
-    dim = vec.size
     counts = vec.reshape(-1, 4).sum(axis=1)
-    src = np.arange(dim).reshape(-1, 4)
+    src = np.arange(vec.size).reshape(-1, 4)
     src = np.where((counts == 3)[:, None], src[:, ::-1], src)
-    rows = tuple(1 << s for s in src.ravel().tolist())
-    return AffineOperator(dim, rows, gf2.pack_bits(np.repeat(counts != 2, 4)))
+    return src.ravel(), np.repeat(counts != 2, 4)
+
+
+def _operator(src: np.ndarray, bias: int) -> AffineOperator:
+    """The operator x -> x[src] ^ bias.  Row i is the Python int 1 << src[i]:
+    shifting a numpy integer would wrap past 63 bits."""
+    return AffineOperator(src.size, tuple(1 << s for s in src.tolist()), bias)
+
+
+def build_phase_operator(grid) -> AffineOperator:
+    """Affine operator of one aligned half-step for this specific state:
+    4x4 identity or reversal blocks, each with a flip bias or none."""
+    src, flip = _half_step(vectorize_zigzag(grid))
+    return _operator(src, gf2.pack_bits(flip))
+
+
+@lru_cache(maxsize=16)
+def _wrap_source(n: int) -> np.ndarray:
+    """Read-only source of each zigzag position of W for n x n grids: the
+    positions, laid out as cells, rolled by (+1, +1), read back in zigzag."""
+    src = _zigzag(np.roll(_unzigzag(np.arange(n * n), n), (1, 1),
+                          axis=(0, 1)))
+    src.flags.writeable = False
+    return src
 
 
 def build_wrap_permutation(n: int) -> AffineOperator:
     """Permutation W with devectorize(W x) = the grid translated by (+1, +1).
-
-    Row i picks the source of zigzag position i: the positions, laid out as
-    cells, rolled by (+1, +1) and read back in zigzag order.  W is
-    orthogonal over GF(2): its inverse is its transpose.
-    """
+    W is orthogonal over GF(2): its inverse is its transpose."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"grid side must be even and >= 2, got {n}")
-    src = _zigzag(np.roll(_unzigzag(np.arange(n * n), n), (1, 1),
-                          axis=(0, 1)))
-    return AffineOperator(n * n, tuple(1 << s for s in src.tolist()), 0)
-
-
-@lru_cache(maxsize=16)
-def _wrap_pair(n: int) -> tuple[AffineOperator, AffineOperator]:
-    """(W, W^-1) for n x n grids, built once per n; both are immutable."""
-    w = build_wrap_permutation(n)
-    return w, AffineOperator(w.dim, tuple(gf2.transpose(w.rows, w.dim)), 0)
+    return _operator(_wrap_source(n), 0)
 
 
 def build_full_step_operator(grid) -> AffineOperator:
     """Exact operator for two half-steps (aligned, then offset on a torus).
 
-    The state-dependent factors are rebuilt for this input: the first from
-    the grid itself, the second from the shifted intermediate state, so the
-    product W^-1 . B_half . W . B applied to the flattened grid equals the
-    flattened two-step evolution.
+    B is built from the grid itself and B_half from the shifted intermediate
+    state, so W^-1 . B_half . W . B applied to the flattened grid equals the
+    flattened two-step evolution.  Each factor maps x to x[src] ^ flip, and
+    x[a] ^ f after y[b] ^ g is x[b[a]] ^ g[a] ^ f, so the product is composed
+    as index maps and made into rows once; `compose` is the reference.
     """
     g = validate_grid(grid)
-    n = g.shape[0]
-    b_t = build_phase_operator(g)
-    w, w_inv = _wrap_pair(n)
-    intermediate = apply_operator(w, apply_operator(b_t, vectorize_zigzag(g)))
-    b_half = build_phase_operator(devectorize_zigzag(intermediate, n))
-    return compose(w_inv, compose(b_half, compose(w, b_t)))
+    vec, w = _zigzag(g), _wrap_source(g.shape[0])
+    src, flip = _half_step(vec)
+    src, flip = src[w], flip[w]
+    half_src, half_flip = _half_step(vec[src] ^ flip)
+    w_inv = np.argsort(w)
+    return _operator(src[half_src][w_inv],
+                     gf2.pack_bits((flip[half_src] ^ half_flip)[w_inv]))
 
 
 def format_operator(op: AffineOperator) -> str:

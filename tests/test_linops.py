@@ -247,22 +247,56 @@ class TestFullStepOperator:
         op = build_full_step_operator(ca.random_grid(8, 0.5, 123))
         assert operator_is_invertible(op)
 
+    @staticmethod
+    def assert_equals_composed_reference(g):
+        """The operator equals W^-1 . B_half . W . B as three `compose`
+        products of the factors built on their own, W^-1 as W's transpose."""
+        n = g.shape[0]
+        w = build_wrap_permutation(n)
+        w_inv = AffineOperator(
+            w.dim, tuple(gf2.transpose(list(w.rows), w.dim)), 0)
+        b_t = build_phase_operator(g)
+        mid = apply_operator(w, apply_operator(b_t, vectorize_zigzag(g)))
+        b_half = build_phase_operator(devectorize_zigzag(mid, n))
+        want = compose(w_inv, compose(b_half, compose(w, b_t)))
+        got = build_full_step_operator(g)
+        assert (got.dim, got.rows, got.bias) == \
+            (want.dim, want.rows, want.bias)
+
     @pytest.mark.parametrize("n", [2, 4, 6, 32])
-    def test_cached_wrap_pair_gives_the_freshly_built_operator(self, n):
-        """W and W^-1 are built once per n; every operator, on the first
-        call for n and after, equals the product with a fresh W."""
+    def test_index_map_build_equals_the_composed_factors(self, n):
+        """The index-map product equals compose over the four factors, on
+        the first call for n (W's source index is cached) and after."""
         for seed in range(3):
-            g = ca.random_grid(n, 0.5, seed)
-            w = build_wrap_permutation(n)
-            w_inv = AffineOperator(
-                w.dim, tuple(gf2.transpose(list(w.rows), w.dim)), 0)
-            b_t = build_phase_operator(g)
-            mid = apply_operator(w, apply_operator(b_t, vectorize_zigzag(g)))
-            b_half = build_phase_operator(devectorize_zigzag(mid, n))
-            want = compose(w_inv, compose(b_half, compose(w, b_t)))
-            got = build_full_step_operator(g)
-            assert (got.dim, got.rows, got.bias) == \
-                (want.dim, want.rows, want.bias)
+            self.assert_equals_composed_reference(ca.random_grid(n, 0.5, seed))
+
+    @given(st.integers(0, 5_000), st.sampled_from([0.1, 0.5, 0.9]))
+    @settings(max_examples=50, deadline=None)
+    def test_index_map_build_equals_the_composed_factors_n8(self, seed,
+                                                             density):
+        self.assert_equals_composed_reference(ca.random_grid(8, density, seed))
+
+    @pytest.mark.parametrize("n", [2, 4, 32])
+    def test_is_a_signed_permutation(self, n):
+        """One bit per row, and the rows cover every column: a permutation
+        matrix plus a bias."""
+        for seed in range(3):
+            op = build_full_step_operator(ca.random_grid(n, 0.5, seed))
+            assert all(row.bit_count() == 1 for row in op.rows)
+            assert {row.bit_length() - 1 for row in op.rows} == \
+                set(range(op.dim))
+
+    def test_does_not_read_the_block_table(self, monkeypatch):
+        """The operator derives the rule from live counts: with
+        ca.BLOCK_TABLE patched to the identity it still gives the
+        evolution computed before the patch."""
+        g = ca.random_grid(8, 0.5, 7)
+        want = vectorize_zigzag(ca.evolve(g, 2)[-1])
+        assert not np.array_equal(want, vectorize_zigzag(g))
+        monkeypatch.setattr(ca, "BLOCK_TABLE",
+                            np.arange(16, dtype=ca.BLOCK_TABLE.dtype))
+        op = build_full_step_operator(g)
+        assert np.array_equal(apply_operator(op, vectorize_zigzag(g)), want)
 
     def test_wrap_permutation_itself_is_built_per_call(self):
         assert build_wrap_permutation(4) is not build_wrap_permutation(4)

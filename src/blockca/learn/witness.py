@@ -3,39 +3,38 @@
 Every rule-learning network maps each 2x2 block of its partition on its own
 (see models.block_form), so on an n x n grid it is P^T (I_blocks (x) f) P:
 P is ca.to_frame of its partition followed by cutting the frame into
-blocks, f is its core on one 2x2 block, and ca.map_blocks runs all three.
-The core's layers are convolutions, transposed convolutions and ReLUs, so
-f lowers to a short list of (matrix, bias) stages with ReLU markers in
-between, 4 -> 16 -> 32 -> 4 whatever n is.  The final sigmoid is monotone
-and is replaced by thresholding the logits at zero; P^T's unshift or crop
-then acts on logits, which commutes with the elementwise sigmoid.
+blocks, and f is its core on one 2x2 block.  The core's layers are
+convolutions, transposed convolutions and ReLUs, so f lowers to a short
+list of (matrix, bias) stages with ReLU markers in between, 4 -> 16 -> 32
+-> 4 whatever n is.  The final sigmoid is monotone and is replaced by
+thresholding the logits at zero; P^T's unshift or crop then acts on logits,
+which commutes with the elementwise sigmoid.
+
+On binary grids f only ever sees the 16 block patterns, so the witnesses
+run the stages once, on rollout.IDENTITY_TABLE (row c holds the cells of
+code c), and read the thresholded 16-row table on every block of the
+partition through ca.apply_rule: the bits of I_blocks (x) f without one
+float row per block.  A non-finite logit of any of the 16 codes raises
+TrainingDiverged instead of being thresholded.
 
 Chaining two lowered half-step networks needs binary intermediate values.
 A clamp built from two extra affine+ReLU stages (u = relu(a*z), then
-u - relu(u - 1)) recovers exact bits from logits of abs >= 1/a.  The first
-network maps each block by its code alone, so scaling the clamp by its
-16-code margin makes one fixed linear+ReLU chain for every grid.  The
-clamp acts per cell and maps 0 to 0, so it commutes with the offset
-network's torus shift and zero padding and runs on each block in front of
-that network's core.
-
-witness_logits takes one row per 2x2 block and runs the stages over
-near-equal slices of at most WITNESS_ROWS rows, writing the last affine
-stage straight into one preallocated output, so every stage temporary stays
-cache-sized however many grids the stack holds.  A slice is the whole
-input or at least WITNESS_ROWS / 2 rows; slices of 512 rows or more give the
-same bits as one pass over all rows, where smaller ones can take another
-BLAS path.  A non-finite logit raises TrainingDiverged instead of being
-thresholded.
+u - relu(u - 1)) recovers exact bits from logits of abs >= 1/a.  Scaled by
+the aligned network's 16-code margin it makes one fixed linear+ReLU chain
+for every grid.  The clamp acts per cell and maps 0 to 0, so it commutes
+with the offset network's torus shift and zero padding; it runs as the
+tail of the aligned network's 16-row chain, and its 0/1 table is read on
+the aligned partition before the offset network's table is read on its
+own.  The clamp is exact only while a*|z| < 2^53 (beyond that u - 1 can
+round to u), so a clamp table that differs from the thresholded logits
+raises ValueError.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
-from ..ca import map_blocks, validate_grids
+from ..ca import apply_rule, validate_grids
 from ..linops import conv_to_matrix, deconv_to_matrix
 from ..nn.layers import (
     ConvLayer,
@@ -44,11 +43,7 @@ from ..nn.layers import (
     ReLULayer,
 )
 from .models import block_form
-from .rollout import TrainingDiverged, tabulate
-
-# Block rows per pass of witness_logits: a (rows, 32) float64 stage
-# temporary is then 512 kB instead of one array over every block.
-WITNESS_ROWS = 2048
+from .rollout import IDENTITY_TABLE, TrainingDiverged, rule_of, tabulate
 
 
 def lower_network(net: Network) -> list[tuple]:
@@ -81,43 +76,31 @@ def lower_network(net: Network) -> list[tuple]:
 
 
 def witness_logits(stages, flat: np.ndarray) -> np.ndarray:
-    """Apply lowered stages to (N, dim) or (dim,) flattened inputs,
-    WITNESS_ROWS rows at a time; `flat` is never written."""
-    x = np.asarray(flat, dtype=np.float64)
-    rows = x.reshape(-1, x.shape[-1])
-    last = max((i for i, stage in enumerate(stages) if stage[0] == "affine"),
-               default=-1)
-    out = np.empty((len(rows), stages[last][1].shape[0] if last >= 0
-                    else rows.shape[1]))
-    start = 0
-    for block in np.array_split(rows, max(1, -(-len(rows) // WITNESS_ROWS))):
-        stop = start + len(block)
-        y = block
-        for i, stage in enumerate(stages):
-            if stage[0] == "affine":
-                _, mat, bias = stage
-                y = np.matmul(y, mat.T,
-                              out=out[start:stop] if i == last else None)
-                y += bias
-            elif y is block:  # the caller's rows: never clipped in place
-                y = np.maximum(y, 0.0)
-            else:
-                np.maximum(y, 0.0, out=y)
-        if last < 0:
-            out[start:stop] = y
-        start = stop
-    return out.reshape(*x.shape[:-1], out.shape[-1])
+    """Apply lowered stages to (N, dim) or (dim,) flattened inputs; `flat`
+    is never written."""
+    y = np.asarray(flat, dtype=np.float64)
+    for stage in stages:
+        if stage[0] == "affine":
+            _, mat, bias = stage
+            y = y @ mat.T + bias
+        else:
+            y = np.maximum(y, 0.0)
+    return y
 
 
-def _block_logits(net: Network, x: np.ndarray, head=()) -> np.ndarray:
-    """Logits of the stages `head` then the lowered core of `net` on every
-    block of the network's partition of the float stack x (see
-    ca.map_blocks); a non-finite logit raises TrainingDiverged."""
-    stages = [*head, *lower_network(net)]
-    z = map_blocks(x, *block_form(net)[0], partial(witness_logits, stages))
+def _code_logits(net: Network) -> np.ndarray:
+    """(16, 4) logits of the lowered core of `net` on the 16 block codes,
+    row c for code c; a non-finite logit raises TrainingDiverged."""
+    z = witness_logits(lower_network(net), IDENTITY_TABLE)
     if not np.isfinite(z).all():
         raise TrainingDiverged("non-finite witness logits")
     return z
+
+
+def _read(net: Network, grids: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """A validated stack with every block of net's partition of code c
+    replaced by row c of the (16, 4) 0/1 table `bits`."""
+    return apply_rule(grids, *block_form(net)[0], rule_of(bits))
 
 
 def binarize_stages(dim: int, alpha: float) -> list[tuple]:
@@ -137,11 +120,10 @@ def binarize_stages(dim: int, alpha: float) -> list[tuple]:
 
 
 def single_step_witness(net: Network, grids) -> np.ndarray:
-    """Predict a (..., n, n) stack of grids through the lowered stages on
-    every block (see ca.map_blocks); logits thresholded at 0.  Non-finite
+    """Predict a (..., n, n) stack of grids through the lowered stages, run
+    once on the 16 block codes; logits thresholded at 0.  Non-finite
     logits raise TrainingDiverged."""
-    z = _block_logits(net, validate_grids(grids).astype(np.float64))
-    return (z >= 0.0).astype(np.uint8)
+    return _read(net, validate_grids(grids), _code_logits(net) >= 0.0)
 
 
 def two_step_witness(net_aligned: Network, net_offset: Network,
@@ -151,13 +133,18 @@ def two_step_witness(net_aligned: Network, net_offset: Network,
     The clamp scale comes from the aligned network's 16-code margin (the
     least abs of tabulate(net_aligned).logits), not from the grids; returns
     (predicted grids, margin).  Raises ValueError if an aligned code logit
-    is exactly zero, since then no clamp scale can binarize, and
+    is exactly zero, since then no clamp scale can binarize, or if the
+    clamp does not give the exact bits of the aligned logits, and
     TrainingDiverged if a logit of either network is not finite.
     """
-    x = validate_grids(grids).astype(np.float64)
+    g = validate_grids(grids)
     margin = float(np.abs(tabulate(net_aligned).logits).min())
     if margin == 0.0:
         raise ValueError("aligned logits touch zero; no clamp scale exists")
-    z1 = _block_logits(net_aligned, x)
-    z2 = _block_logits(net_offset, z1, binarize_stages(4, 2.0 / margin))
-    return (z2 >= 0.0).astype(np.uint8), margin
+    z = _code_logits(net_aligned)
+    bits = witness_logits(binarize_stages(4, 2.0 / margin), z)
+    if not np.array_equal(bits, z >= 0.0):
+        raise ValueError(f"the clamp at margin {margin!r} does not give "
+                         f"exact bits: an aligned logit is too large")
+    return _read(net_offset, _read(net_aligned, g, bits),
+                 _code_logits(net_offset) >= 0.0), margin

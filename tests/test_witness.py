@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blockca.ca import (Direction, EdgeMode, Phase, map_blocks, random_grid,
-                        random_grids)
+from blockca.ca import (Direction, EdgeMode, Phase, blocks_from_codes,
+                        map_blocks, random_grid, random_grids)
 from blockca.learn import (
     TrainConfig,
     TrainingDiverged,
@@ -18,7 +18,6 @@ from blockca.learn import (
     train,
 )
 from blockca.learn.witness import (
-    WITNESS_ROWS,
     binarize_stages,
     lower_network,
     single_step_witness,
@@ -106,6 +105,25 @@ def test_block_stages_expand_to_whole_grid_chain(phase, edge, bypass, n):
                        lambda rows: witness_logits(stages, rows))
     block = block.reshape(6, -1)
     assert np.abs(dense - block).max() <= 1e-10
+    assert np.array_equal((dense >= 0.0).reshape(6, n, n),
+                          single_step_witness(net, x))
+
+
+# Every code once in the aligned blocks, and again in the torus offset
+# blocks of the rolled copy.
+_CODES = blocks_from_codes(np.arange(16).reshape(4, 4))
+ALL_CODES = np.stack([_CODES, np.roll(_CODES, (1, 1), axis=(0, 1))])
+
+
+@pytest.mark.parametrize("phase,edge", VARIANTS)
+@pytest.mark.parametrize("bypass", [False, True])
+def test_single_step_witness_on_every_code(phase, edge, bypass):
+    net = build_model(phase, edge, bypass_endpoints=bypass, seed=101)
+    # Untrained 16-code logits lie on one side of 0; centre them.
+    block_form(net)[1][-2].kernel.bias[:] -= np.median(tabulate(net).logits)
+    want = apply_model_binary(net, ALL_CODES)
+    assert 0 < want.mean() < 1
+    assert np.array_equal(single_step_witness(net, ALL_CODES), want)
 
 
 def test_every_stage_is_affine_or_relu():
@@ -201,9 +219,27 @@ def test_zero_16_code_margin_has_no_clamp_scale():
         two_step_witness(net_aligned, net_offset, random_grids(3, 8, 0.5, 0))
 
 
+def test_clamp_that_loses_a_bit_raises():
+    """Logits -0.5 (code bit TL clear) and 2^60 (set): the clamp scale
+    2 / 0.5 takes 2^60 to u = 2^62, where u - 1 rounds to u, so the clamp
+    gives 0 for a positive logit."""
+    rng = np.random.default_rng(0)
+    encode = ConvLayer.create(rng, 1, 1, 2, 2)
+    encode.kernel.weights[...] = [[[[1.0, 0.0], [0.0, 0.0]]]]
+    encode.kernel.bias[...] = 0.0
+    decode = DeconvLayer.create(rng, 1, 1, 2, 2)
+    decode.kernel.weights[...] = 2.0 ** 60
+    decode.kernel.bias[...] = -0.5
+    net_aligned = Network([encode, decode, SigmoidLayer()])
+    logits = tabulate(net_aligned).logits
+    assert np.abs(logits).max() > 2.0 ** 53 * np.abs(logits).min()
+    net_offset = build_model(Phase.OFFSET, EdgeMode.TORUS_WRAP, seed=53)
+    with pytest.raises(ValueError, match="does not give exact bits"):
+        two_step_witness(net_aligned, net_offset, ALL_CODES)
+
+
 def _stage_loop(stages, x):
-    """All rows through every stage at once: the reference for the row
-    blocks of witness_logits."""
+    """All rows through every stage: the reference for witness_logits."""
     for stage in stages:
         if stage[0] == "affine":
             _, mat, bias = stage
@@ -223,10 +259,9 @@ def _assert_matches_loop(stages, x):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("rows", [0, 1, WITNESS_ROWS - 1, WITNESS_ROWS,
-                                  WITNESS_ROWS + 1, 2 * WITNESS_ROWS + 3])
+@pytest.mark.parametrize("rows", [0, 1, 2047, 2048, 2049, 4099])
 @pytest.mark.parametrize("bypass", [False, True])
-def test_witness_logits_row_blocks_match_one_pass(rows, bypass):
+def test_witness_logits_matches_the_stage_loop(rows, bypass):
     stages = lower_network(build_model(Phase.OFFSET, EdgeMode.TORUS_WRAP,
                                        bypass_endpoints=bypass, seed=61))
     x = np.random.default_rng(rows).normal(size=(rows, 4))
@@ -241,7 +276,7 @@ def test_witness_logits_of_one_vector():
     _assert_matches_loop(stages, x)
 
 
-@pytest.mark.parametrize("rows", [3, 2 * WITNESS_ROWS + 3])
+@pytest.mark.parametrize("rows", [3, 4099])
 def test_leading_relu_leaves_the_input_unchanged(rows):
     """A first ReLU must not clip the caller's array in place, with or
     without affine stages after it."""
@@ -267,13 +302,11 @@ def trained_nets():
     return nets
 
 
-# 80 grids of 16x16 hold 5120 aligned blocks and 6480 padded ones, so the
-# witnesses run over three or four row slices.
 SPANNING = random_grids(80, 16, 0.5, 59)
 
 
 @pytest.mark.parametrize("index", range(len(VARIANTS)))
-def test_single_step_witness_over_several_row_blocks(trained_nets, index):
+def test_single_step_witness_of_trained_nets(trained_nets, index):
     net = trained_nets[index]
     want = apply_model_binary(net, SPANNING)
     assert 0 < want.mean() < 1
@@ -281,7 +314,7 @@ def test_single_step_witness_over_several_row_blocks(trained_nets, index):
 
 
 @pytest.mark.parametrize("index", [1, 2])
-def test_two_step_witness_over_several_row_blocks(trained_nets, index):
+def test_two_step_witness_of_trained_nets(trained_nets, index):
     aligned, offset = trained_nets[0], trained_nets[index]
     want = apply_model_binary(offset, apply_model_binary(aligned, SPANNING))
     assert 0 < want.mean() < 1
@@ -317,7 +350,7 @@ def test_non_finite_two_step_logits_raise(value):
     bad_offset = _poisoned(Phase.OFFSET, EdgeMode.TORUS_WRAP, 2, value)
     two_step_witness(aligned, offset, grids)
     # tabulate checks the aligned logits before the margin is taken,
-    # _block_logits checks z2 before it is thresholded.
+    # _code_logits checks the offset logits before they are thresholded.
     for first, second in [(bad_aligned, offset), (aligned, bad_offset)]:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(TrainingDiverged, match="non-finite"):
@@ -325,9 +358,9 @@ def test_non_finite_two_step_logits_raise(value):
 
 
 def test_two_step_witness_peak_memory_is_a_few_stacks():
-    """Stage temporaries are bounded by the row slices, so the traced peak
-    stays within 8 float64 copies of the stack; running every stage over
-    all 64000 block rows at once peaks near 24 copies."""
+    """The stages run on 16 rows and the grids are read as uint8 codes, so
+    the traced peak stays within 8 float64 copies of the stack; running
+    every stage over all 64000 block rows at once peaks near 24 copies."""
     grids = random_grids(1000, 16, 0.5, 83)
     aligned = build_model(Phase.ALIGNED, EdgeMode.TORUS_WRAP, seed=89)
     offset = build_model(Phase.OFFSET, EdgeMode.TORUS_WRAP, seed=97)

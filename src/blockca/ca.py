@@ -111,6 +111,15 @@ def block_transform(code: int) -> int:
     return int(BLOCK_TABLE[code])
 
 
+def all_binary(a: np.ndarray) -> bool:
+    """Whether every entry of the array is 0 or 1.  An unsigned or bool
+    array needs one max reduction and no mask; any other dtype is compared
+    with 0 and 1, so -1, 0.5 and NaN fail.  An empty array passes."""
+    if a.dtype.kind in "bu":
+        return bool(a.max(initial=0) <= 1)
+    return bool(((a == 0) | (a == 1)).all())
+
+
 def validate_grids(grids) -> np.ndarray:
     """Check a (..., n, n) stack of grids; return it as uint8.
 
@@ -125,7 +134,7 @@ def validate_grids(grids) -> np.ndarray:
     n = g.shape[-1]
     if n < 2 or n % 2 != 0:
         raise ValueError(f"grid side must be even and >= 2, got {n}")
-    if not ((g == 0) | (g == 1)).all():
+    if not all_binary(g):
         raise ValueError("grid cells must be 0 or 1")
     return g.astype(np.uint8, copy=False)
 

@@ -4,7 +4,9 @@ A matrix is a sequence of ints, one per row; bit j of a row is the entry in
 column j.  Vectors use the same packing.  Addition is XOR and a dot product
 is the parity of an AND, so everything here is exact.  Rows must be Python
 ints, never numpy integers: `1 << np.int64(1000)` wraps silently.
-`matvec` takes one parity per row and packs them all at once.
+`matvec` takes one parity per row and packs them all at once.  Elimination
+pivots on each row's highest set bit below dim, read by `bit_length`, so a
+row costs no temporary int until it meets a pivot that is taken.
 """
 
 from __future__ import annotations
@@ -66,42 +68,57 @@ def transpose(rows: Sequence[int], dim: int) -> list[int]:
     return out
 
 
-def _echelon(rows, dim: int) -> dict[int, int]:
-    """Echelon basis of the rows' span over columns < dim: {pivot: row}.
+def _echelon(rows, dim: int) -> list[int]:
+    """Echelon basis of the rows' span over columns < dim: entry p is the
+    basis row whose pivot is p, or 0 where no row has that pivot.
 
-    A row's pivot is its lowest set bit below dim.  Each row is XORed with
-    the basis row of its pivot until it finds a free pivot or vanishes.
+    A row's pivot is its highest set bit, which `bit_length` reads without
+    building a new int.  Bits at or above dim are masked off first, and only
+    for a row that has them, so every basis row lies below dim.  Each row is
+    XORed with the basis row of its pivot, which clears that bit and leaves
+    only lower ones, until it finds a free pivot or vanishes.  The rows
+    given are never changed: XOR and AND make new ints.
     """
     low = (1 << dim) - 1
-    basis = {}
+    basis = [0] * dim
     for row in rows:
-        while row & low:
-            pivot = (row & -row).bit_length() - 1
-            if pivot not in basis:
+        if row.bit_length() > dim:
+            row &= low
+        while row:
+            pivot = row.bit_length() - 1
+            reducer = basis[pivot]
+            if not reducer:
                 basis[pivot] = row
                 break
-            row ^= basis[pivot]
+            row ^= reducer
     return basis
 
 
 def rank(rows: Sequence[int], dim: int) -> int:
     """Gaussian elimination over GF(2)."""
-    return len(_echelon(rows, dim))
+    return dim - _echelon(rows, dim).count(0)
 
 
 def inverse(rows: list[int], dim: int) -> list[int]:
-    """Matrix inverse by elimination on [M | I]; raises if singular."""
-    basis = _echelon([rows[i] | (1 << (dim + i)) for i in range(dim)], dim)
-    if len(basis) < dim:
+    """Matrix inverse by elimination on [I | M]; raises if singular.
+
+    Row i of M sits above bit dim and bit i of I below it, so the pivots
+    land in the M half exactly when M has full rank, and the I half of the
+    basis row with pivot dim + j then records which rows of M sum to it.
+    """
+    basis = _echelon([(rows[i] << dim) | (1 << i) for i in range(dim)],
+                     2 * dim)[dim:]
+    if 0 in basis:
         raise ValueError("matrix is singular over GF(2)")
-    # From the highest pivot down, clear every bit above each row's own
-    # pivot with the row of that pivot, which is already reduced.
-    for pivot in range(dim - 1, -1, -1):
-        above = basis[pivot] & ((1 << dim) - 1) & -(2 << pivot)
-        while above:
-            basis[pivot] ^= basis[(above & -above).bit_length() - 1]
-            above &= above - 1
-    return [basis[pivot] >> dim for pivot in range(dim)]
+    # From the lowest pivot up, clear every M bit below each row's own
+    # pivot with the row of that pivot, which is already reduced to e_j.
+    for j in range(dim):
+        below = (basis[j] >> dim) & ((1 << j) - 1)
+        while below:
+            basis[j] ^= basis[(below & -below).bit_length() - 1]
+            below &= below - 1
+    low = (1 << dim) - 1
+    return [row & low for row in basis]
 
 
 def is_invertible(rows: Sequence[int], dim: int) -> bool:

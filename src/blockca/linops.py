@@ -9,7 +9,8 @@ rather than purely linear.  The diagonal shift between partitions is a
 permutation matrix W, giving the two-half-step operator
 W^-1 * B_half * W * B as an explicit matrix-plus-bias pair.  Every factor
 has one bit per row and per column, so the product is composed as index
-maps and made into rows once; `compose` is the reference it equals.
+maps and made into rows once, by indexing a cached table of the single-bit
+ints 1 << s with the composed map; `compose` is the reference it equals.
 
 The module also lowers strided convolutions and transposed convolutions to
 dense real matrices over the row-major flattening of (channels, height,
@@ -25,14 +26,16 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .ca import validate_grid
+from .ca import all_binary, validate_grid, validate_grids
 
 
 def _zigzag(cells: np.ndarray) -> np.ndarray:
-    """An (n, n) array read block-major, each block TL, TR, BL, BR: the one
-    statement of the zigzag layout, undone by _unzigzag."""
-    n = cells.shape[0]
-    return cells.reshape(n // 2, 2, n // 2, 2).transpose(0, 2, 1, 3).flatten()
+    """A (..., n, n) stack read block-major, each block TL, TR, BL, BR, into
+    a new (..., n * n) array: the one statement of the zigzag layout, undone
+    by _unzigzag."""
+    *lead, n = cells.shape[:-1]
+    return (cells.reshape(*lead, n // 2, 2, n // 2, 2).swapaxes(-3, -2)
+            .copy().reshape(*lead, n * n))
 
 
 def _unzigzag(vec: np.ndarray, n: int) -> np.ndarray:
@@ -42,8 +45,9 @@ def _unzigzag(vec: np.ndarray, n: int) -> np.ndarray:
 
 
 def vectorize_zigzag(grid) -> np.ndarray:
-    """Flatten a grid block-major, each block read TL, TR, BL, BR."""
-    return _zigzag(validate_grid(grid))
+    """Flatten a grid block-major, each block read TL, TR, BL, BR.  A
+    (..., n, n) stack gives one (..., n * n) row per grid."""
+    return _zigzag(validate_grids(grid))
 
 
 def _binary_vector(vec, dim: int, what: str) -> np.ndarray:
@@ -54,7 +58,7 @@ def _binary_vector(vec, dim: int, what: str) -> np.ndarray:
     if v.shape != (dim,):
         raise ValueError(f"{what} expects a vector of length {dim}, "
                          f"got shape {v.shape}")
-    if not np.all((v == 0) | (v == 1)):
+    if not all_binary(v):
         raise ValueError(f"{what} expects entries of 0 or 1")
     return v.astype(np.uint8, copy=False)
 
@@ -113,16 +117,28 @@ def _half_step(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return src.ravel(), np.repeat(counts != 2, 4)
 
 
+@lru_cache(maxsize=16)
+def _unit_rows(dim: int) -> np.ndarray:
+    """Read-only object array whose entry s is the Python int 1 << s, the
+    row that reads bit s: made once per dim, so building an operator takes
+    its rows by index rather than shifting one int per row."""
+    rows = np.array([1 << s for s in range(dim)], dtype=object)
+    rows.flags.writeable = False
+    return rows
+
+
 def _operator(src: np.ndarray, bias: int) -> AffineOperator:
-    """The operator x -> x[src] ^ bias.  Row i is the Python int 1 << src[i]:
-    shifting a numpy integer would wrap past 63 bits."""
-    return AffineOperator(src.size, tuple(1 << s for s in src.tolist()), bias)
+    """The operator x -> x[src] ^ bias.  Row i is the Python int 1 << src[i],
+    taken from the cached _unit_rows: shifting a numpy integer would wrap
+    past 63 bits."""
+    return AffineOperator(src.size, tuple(_unit_rows(src.size)[src].tolist()),
+                          bias)
 
 
 def build_phase_operator(grid) -> AffineOperator:
     """Affine operator of one aligned half-step for this specific state:
     4x4 identity or reversal blocks, each with a flip bias or none."""
-    src, flip = _half_step(vectorize_zigzag(grid))
+    src, flip = _half_step(_zigzag(validate_grid(grid)))
     return _operator(src, gf2.pack_bits(flip))
 
 
@@ -132,6 +148,14 @@ def _wrap_source(n: int) -> np.ndarray:
     positions, laid out as cells, rolled by (+1, +1), read back in zigzag."""
     src = _zigzag(np.roll(_unzigzag(np.arange(n * n), n), (1, 1),
                           axis=(0, 1)))
+    src.flags.writeable = False
+    return src
+
+
+@lru_cache(maxsize=16)
+def _unwrap_source(n: int) -> np.ndarray:
+    """Read-only source of W^-1, the inverse permutation of _wrap_source."""
+    src = np.argsort(_wrap_source(n))
     src.flags.writeable = False
     return src
 
@@ -158,7 +182,7 @@ def build_full_step_operator(grid) -> AffineOperator:
     src, flip = _half_step(vec)
     src, flip = src[w], flip[w]
     half_src, half_flip = _half_step(vec[src] ^ flip)
-    w_inv = np.argsort(w)
+    w_inv = _unwrap_source(g.shape[0])
     return _operator(src[half_src][w_inv],
                      gf2.pack_bits((flip[half_src] ^ half_flip)[w_inv]))
 

@@ -1,5 +1,7 @@
 """Core automaton: block table, stepping, reversibility, grid text format."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -464,14 +466,19 @@ class TestValidateGrids:
         np.array([[-0.0, 1.0], [1, 0]], dtype=np.float32),
         np.array([[0, 1], [1, 1]], dtype=np.int64),
         np.zeros((3, 2, 2), dtype=np.uint8),
+        np.zeros((0, 4, 4), dtype=np.uint8),
+        np.zeros((0, 2, 2)),
     ])
     def test_binary_cells_accepted(self, cells):
-        got = ca.validate_grids(cells)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ca.validate_grids(cells)
         assert got.dtype == np.uint8 and np.array_equal(got, cells)
         # A uint8 stack is returned as it is; any other dtype is copied.
         uint8 = cells.dtype == np.uint8
         assert (got is cells) == uint8
-        assert np.shares_memory(got, cells) == uint8
+        # An empty array shares no memory, even with itself.
+        assert np.shares_memory(got, cells) == (uint8 and cells.size > 0)
 
     @pytest.mark.parametrize("cell", [2, -1, 0.5, np.nan, np.inf, 255])
     def test_other_cells_rejected(self, cell):

@@ -64,6 +64,12 @@ def test_singular_matrix_rejected():
     with pytest.raises(ValueError):
         gf2.inverse([0b01, 0b01], 2)
     assert gf2.rank([0b01, 0b01], 2) == 1
+    # A 1024-dim permutation with one row replaced by the sum of two others.
+    rows = [1 << int(j) for j in np.random.default_rng(4).permutation(1024)]
+    rows[5] = rows[6] | rows[7]
+    with pytest.raises(ValueError, match="singular"):
+        gf2.inverse(rows, 1024)
+    assert gf2.rank(rows, 1024) == 1023
 
 
 def numpy_rank_mod_2(mat) -> int:
@@ -108,11 +114,12 @@ def test_rank_of_singular_and_permutation_matrices(seed):
         assert gf2.rank(packed(perm), dim) == numpy_rank_mod_2(perm) == dim
 
 
-def test_inverse_of_permutation_is_its_transpose():
+@pytest.mark.parametrize("dim", [64, 1024])
+def test_inverse_of_permutation_is_its_transpose(dim):
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        rows = [1 << int(j) for j in rng.permutation(64)]
-        assert gf2.inverse(rows, 64) == gf2.transpose(rows, 64)
+    for _ in range(10 if dim == 64 else 2):
+        rows = [1 << int(j) for j in rng.permutation(dim)]
+        assert gf2.inverse(rows, dim) == gf2.transpose(rows, dim)
 
 
 def test_inverse_of_dense_32_by_32_matrices():
@@ -183,11 +190,40 @@ def test_matmul_matches_numpy_mod_2_at_kernel_sizes(dim):
         assert np.array_equal(unpacked(got, dim), want)
 
 
-@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def with_high_bits(rng, rows, dim):
+    """The rows with random bits set at and above dim, which every column
+    count of dim must ignore; about a third of the rows keep none."""
+    return [row | (int(rng.integers(0, 8)) << dim) if rng.random() < 2 / 3
+            else row for row in rows]
+
+
+@pytest.mark.parametrize("dim", [*KERNEL_DIMS, 1025])
 def test_rank_matches_numpy_mod_2_at_kernel_sizes(dim):
     rng = np.random.default_rng(20 + dim)
     for make in (mixed_matrix, single_bit_matrix):
         mat = make(rng, dim, dim)
-        assert gf2.rank(packed(mat), dim) == numpy_rank_mod_2(mat)
+        want = numpy_rank_mod_2(mat)
+        assert gf2.rank(packed(mat), dim) == want
+        assert gf2.rank(with_high_bits(rng, packed(mat), dim), dim) == want
     perm = np.eye(dim, dtype=np.uint8)[rng.permutation(dim)]
     assert gf2.rank(packed(perm), dim) == dim
+    assert gf2.rank(with_high_bits(rng, packed(perm), dim), dim) == dim
+    assert gf2.rank([1 << dim, 3 << dim, 0], dim) == 0
+
+
+@pytest.mark.parametrize("dim", [*KERNEL_DIMS, 1025])
+def test_rank_with_one_row_object_repeated(dim):
+    """Operators share cached row objects, so one int can fill many rows;
+    elimination must not change the row it was given."""
+    rng = np.random.default_rng(30 + dim)
+    mat = mixed_matrix(rng, dim, dim)
+    mat[0, rng.integers(0, dim)] = 1
+    repeat = rng.random(dim) < 0.5
+    mat[repeat] = mat[0]
+    rows = packed(mat)
+    first = rows[0]
+    rows = [first if r else row for r, row in zip(repeat, rows)]
+    assert sum(row is first for row in rows) >= repeat.sum()
+    assert gf2.rank(rows, dim) == numpy_rank_mod_2(mat)
+    assert gf2.rank([first] * dim, dim) == 1
+    assert rows[0] is first and first == gf2.pack_bits(mat[0])

@@ -66,6 +66,17 @@ class TestZigzag:
         assert not np.shares_memory(vec, g)
         assert not np.shares_memory(back, vec)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_stack_gives_one_row_per_grid(self, n):
+        grids = ca.random_grids(6, n, 0.5, n).reshape(2, 3, n, n)
+        vecs = vectorize_zigzag(grids)
+        assert vecs.shape == (2, 3, n * n)
+        assert not np.shares_memory(vecs, grids)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(vecs[index], vectorize_zigzag(grids[index]))
+        with pytest.raises(ValueError, match="square"):
+            build_phase_operator(grids[0])
+
     def test_all_zero_vector_gives_dead_grid(self):
         assert (devectorize_zigzag(np.zeros(16, dtype=np.uint8), 4) == 0).all()
 
@@ -300,6 +311,29 @@ class TestFullStepOperator:
 
     def test_wrap_permutation_itself_is_built_per_call(self):
         assert build_wrap_permutation(4) is not build_wrap_permutation(4)
+
+    def test_rows_past_bit_63_are_python_ints(self):
+        """Rows come from a cached table of single-bit ints: row i is the
+        Python int 1 << src[i], far past 63 bits at dim 1024."""
+        src = np.random.default_rng(5).permutation(1024)
+        for _ in range(2):
+            op = linops._operator(src, 0)
+            assert all(type(row) is int for row in op.rows)
+            assert op.rows == tuple(1 << int(s) for s in src)
+        assert max(op.rows).bit_length() == 1024
+        w = build_wrap_permutation(32)
+        assert w.rows == tuple(1 << int(s) for s in linops._wrap_source(32))
+
+    @pytest.mark.parametrize("n", [2, 4, 32])
+    def test_cached_sources_are_read_only(self, n):
+        w, w_inv = linops._wrap_source(n), linops._unwrap_source(n)
+        assert np.array_equal(w[w_inv], np.arange(n * n))
+        assert np.array_equal(w_inv[w], np.arange(n * n))
+        for cached in (w, w_inv, linops._unit_rows(n * n)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = cached[1]
+        assert linops._unwrap_source(n) is w_inv
 
 
 @st.composite

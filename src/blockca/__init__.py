@@ -8,7 +8,6 @@ from .ca import (
     EdgeMode,
     GridFormatError,
     Phase,
-    block_transform,
     evolve,
     inverse_step,
     phase_at,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BLOCK_TABLE", "INVERSE_BLOCK_TABLE", "Direction", "EdgeMode",
-    "GridFormatError", "Phase", "block_transform", "evolve",
+    "GridFormatError", "Phase", "evolve",
     "inverse_step", "phase_at", "random_grid",
     "random_grids", "step", "validate_grid", "validate_grids", "AffineOperator", "KernelSpec",
     "apply_operator", "build_full_step_operator", "build_phase_operator",

@@ -104,13 +104,6 @@ BLOCK_TABLE = _build_block_table()
 INVERSE_BLOCK_TABLE = np.argsort(BLOCK_TABLE).astype(np.uint8)
 
 
-def block_transform(code: int) -> int:
-    """Apply the live-count rule to a 4-bit block code."""
-    if not 0 <= code <= 15:
-        raise ValueError(f"block code must be in 0..15, got {code}")
-    return int(BLOCK_TABLE[code])
-
-
 def all_binary(a: np.ndarray) -> bool:
     """Whether every entry of the array is 0 or 1.  An unsigned or bool
     array needs one max reduction and no mask; any other dtype is compared
@@ -284,6 +277,13 @@ def random_grid(n: int, density: float, seed) -> np.ndarray:
     return random_grids(1, n, density, seed)[0]
 
 
+def is_count(text: str) -> bool:
+    """Whether text is 1 to 18 ASCII digits: the count rule of the grid,
+    operator dump and checkpoint formats.  int() refuses strings of more
+    than 4300 digits with ValueError; 18 digits fit any real count."""
+    return text.isascii() and text.isdigit() and len(text) <= 18
+
+
 # Grid text format: line 1 is the side length, then n rows of n characters
 # from {0, 1}, top row first.  Trajectories separate grids by a blank line.
 
@@ -298,8 +298,7 @@ def parse_grid(text: str) -> np.ndarray:
     if not lines:
         raise GridFormatError("empty grid text")
     head = lines[0]
-    # int() refuses strings of more than 4300 digits with ValueError.
-    if not (head.isascii() and head.isdigit() and len(head) <= 18):
+    if not is_count(head):
         raise GridFormatError(f"first line must be the side length, "
                               f"got {head!r}")
     n = int(head)

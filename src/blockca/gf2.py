@@ -119,7 +119,3 @@ def inverse(rows: list[int], dim: int) -> list[int]:
             below &= below - 1
     low = (1 << dim) - 1
     return [row & low for row in basis]
-
-
-def is_invertible(rows: Sequence[int], dim: int) -> bool:
-    return rank(rows, dim) == dim

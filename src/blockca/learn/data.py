@@ -52,9 +52,3 @@ def generate_dataset(n: int, count: int, direction: Direction, phase: Phase,
     inputs = random_grids(count, n, density, seed)
     targets = rule_map(direction, phase, edge)(inputs)
     return Dataset(inputs, targets, n, direction, phase, edge, seed, density)
-
-
-def verify_dataset(ds: Dataset) -> bool:
-    """Recompute every target from its input; True iff all match."""
-    fn = rule_map(ds.direction, ds.phase, ds.edge)
-    return np.array_equal(fn(ds.inputs), ds.targets)

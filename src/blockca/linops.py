@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .ca import all_binary, validate_grid, validate_grids
+from .ca import all_binary, is_count, validate_grid, validate_grids
 
 
 def _zigzag(cells: np.ndarray) -> np.ndarray:
@@ -100,7 +100,7 @@ def compose(second: AffineOperator, first: AffineOperator) -> AffineOperator:
 
 
 def operator_is_invertible(op: AffineOperator) -> bool:
-    return gf2.is_invertible(op.rows, op.dim)
+    return gf2.rank(op.rows, op.dim) == op.dim
 
 
 def _half_step(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,9 +206,7 @@ def parse_operator(text: str) -> AffineOperator:
     if not lines:
         raise OperatorFormatError("empty operator text")
     head = lines[0]
-    # int() refuses more than 4300 digits; 18 digits fit any real dim.
-    dim = (int(head) if head.isascii() and head.isdigit() and len(head) <= 18
-           else 0)
+    dim = int(head) if is_count(head) else 0
     if dim < 1:
         raise OperatorFormatError(f"first line must be a positive dim, "
                                   f"got {head!r}")

@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 
+from ..ca import is_count
 from ..linops import KernelSpec
 from .layers import ConvLayer, DeconvLayer, Network, STATELESS_LAYERS
 
@@ -50,17 +51,12 @@ def save_network(net: Network, path) -> None:
                 _write_array(f, layer.kernel.bias)
 
 
-def _is_count(word: str) -> bool:
-    """At most 18 decimal digits; int() raises ValueError on long strings."""
-    return word.isdigit() and len(word) <= 18
-
-
 def _read_layer(f, size: int, index: int):
     line = f.readline()
     fields = line.decode("ascii", "replace").split()
     kind, dims = (fields[1], fields[2:]) if len(fields) > 1 else (None, [])
     if kind in ("conv", "deconv"):
-        if len(dims) != 6 or not all(map(_is_count, dims)):
+        if len(dims) != 6 or not all(map(is_count, dims)):
             raise CheckpointFormatError(f"{kind} descriptor needs six "
                                         f"integers, got {line!r}")
         out_c, in_c, kh, kw, stride, bias_len = map(int, dims)
@@ -116,7 +112,7 @@ def load_network(path) -> Network:
             raise CheckpointFormatError("bad checkpoint header")
         line = f.readline()
         head = line.decode("ascii", "replace").split()
-        if len(head) != 2 or not _is_count(head[1]) \
+        if len(head) != 2 or not is_count(head[1]) \
                 or line != f"layers {int(head[1])}\n".encode("ascii"):
             raise CheckpointFormatError(f"expected 'layers <count>', "
                                         f"got {line!r}")

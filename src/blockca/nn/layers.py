@@ -3,8 +3,8 @@
 Activations are (batch, channels, height, width) float64 arrays.  Each
 layer exposes ``forward(x) -> (y, cache)`` and ``backward(grad_y, cache)
 -> grad_x``; layers with parameters write ``grad_weights`` and
-``grad_bias`` in place on every backward call, and assigning either copies
-into it.  A Network keeps its layers' parameters and gradients as views of
+``grad_bias`` in place on every backward call, and both are read-only
+properties.  A Network keeps its layers' parameters and gradients as views of
 two flat vectors, ``theta`` and ``grad``.  Caches are returned to the caller
 rather than stored, so forward passes on cloned parameter sets are safe to
 run concurrently.  A conv input of one window per sample, and a deconv
@@ -119,10 +119,10 @@ def _init_weights(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class _KernelLayer:
     """Parameters and gradients shared by the convolution layers.
 
-    grad_weights and grad_bias keep their arrays: backward writes into
-    them, and assigning one copies into it, so a Network's grad (whose
-    views they are) sees every write.  `placed` is set once a Network has
-    moved the layer's arrays into its vectors.
+    grad_weights and grad_bias are read-only properties whose arrays
+    backward writes in place, so a Network's grad (whose views they are)
+    sees every write.  `placed` is set once a Network has moved the layer's
+    arrays into its vectors.
     """
 
     placed = False
@@ -136,17 +136,9 @@ class _KernelLayer:
     def grad_weights(self) -> np.ndarray:
         return self._grad_weights
 
-    @grad_weights.setter
-    def grad_weights(self, value):
-        self._grad_weights[...] = value
-
     @property
     def grad_bias(self) -> np.ndarray:
         return self._grad_bias
-
-    @grad_bias.setter
-    def grad_bias(self, value):
-        self._grad_bias[...] = value
 
     def parameters(self):
         """(parameter, gradient) array pairs: the weights, then the bias."""

@@ -135,10 +135,9 @@ def commute_runs():
 
 
 def test_criterion_01_block_bijectivity():
-    table = [ca.block_transform(code) for code in range(16)]
+    table = ca.BLOCK_TABLE.tolist()
     bijective = sorted(table) == list(range(16))
-    fixed = all(ca.block_transform(c) == c
-                for c in range(16) if bin(c).count("1") == 2)
+    fixed = all(table[c] == c for c in range(16) if bin(c).count("1") == 2)
     report("criterion-01 block-bijectivity", bijective and fixed,
            f"permutation={bijective}, count-2 fixed points={fixed}")
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from blockca import ca
 from blockca.ca import EdgeMode, GridFormatError, Phase
 from blockca.cli import _parse_random_spec, main
-from blockca.learn import build_model, rollout
+from blockca.learn import CommuteReport, build_model, rollout
+from blockca.linops import build_full_step_operator, parse_operator
 from blockca.nn import (
     CheckpointFormatError,
     ConvLayer,
@@ -97,6 +98,11 @@ class TestSimulate:
                    "--direction", "bwd", "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_without_out_prints_the_trajectory(self, capsys):
+        assert run("simulate", "--random", "4,0.5,3", "--steps", "2") == 0
+        want = ca.format_trajectory(ca.evolve(ca.random_grid(4, 0.5, 3), 2))
+        assert capsys.readouterr().out == want
+
     def test_parse_errors_exit_2(self, tmp_path):
         assert run("simulate", "--random", "garbage", "--steps", "1") == 2
         for density in ("nan", "inf", "-inf", "1e999"):
@@ -161,6 +167,20 @@ class TestOperatorCheck:
     def test_exhaustive_n2(self, capsys):
         assert run("operator-check", "--n", "2", "--exhaustive") == 0
         assert "16/16 passed" in capsys.readouterr().out
+
+    def test_dump_is_the_first_grids_operator(self, tmp_path, capsys):
+        dump = tmp_path / "op.txt"
+        assert run("operator-check", "--n", "4", "--trials", "3",
+                   "--seed", "0", "--dump", dump) == 0
+        assert "3/3 passed" in capsys.readouterr().out
+        first = ca.random_grids(3, 4, 0.5, 0)[0]
+        assert parse_operator(dump.read_text(encoding="ascii")) == \
+            build_full_step_operator(first)
+
+    def test_exhaustive_above_n4_exits_3(self, capsys):
+        assert run("operator-check", "--n", "6", "--exhaustive") == 3
+        assert capsys.readouterr().err == \
+            "error: --exhaustive is only tractable for n <= 4\n"
 
     def test_odd_n_exits_3(self):
         assert run("operator-check", "--n", "5", "--trials", "2") == 3
@@ -458,6 +478,18 @@ class TestCommuteAndGradcheck:
         assert "evolution-itself: 20/20 commutes" in out
         assert "non-uniqueness certified: yes" in out
         assert len(csv.read_text().strip().splitlines()) == 3
+
+    def test_uncertified_commute_exits_4_after_writing(self, tmp_path,
+                                                       capsys, monkeypatch):
+        monkeypatch.setattr("blockca.cli.verify_commuting_solutions",
+                            lambda *args, **kwargs: CommuteReport())
+        csv = tmp_path / "commute.csv"
+        assert run("commute", "--n", "8", "--count", "100", "--epochs", "1",
+                   "--verify-trials", "1", "--out-csv", csv) == 4
+        assert "non-uniqueness certified: no" in capsys.readouterr().out
+        assert len(csv.read_text().strip().splitlines()) == 2
+        assert "command=commute" in \
+            (tmp_path / "commute.csv.manifest.txt").read_text()
 
     def test_commute_manifest_lists_only_its_own_flags(self, tmp_path):
         csv = tmp_path / "commute.csv"

@@ -52,7 +52,7 @@ def test_inverse_really_inverts(seed):
     dim = 8
     while True:
         rows = random_rows(rng, dim)
-        if gf2.is_invertible(rows, dim):
+        if gf2.rank(rows, dim) == dim:
             break
     inv = gf2.inverse(rows, dim)
     identity = [1 << i for i in range(dim)]
@@ -127,7 +127,7 @@ def test_inverse_of_dense_32_by_32_matrices():
     inverted = 0
     while inverted < 10:
         rows = random_rows(rng, 32)
-        if not gf2.is_invertible(rows, 32):
+        if gf2.rank(rows, 32) != 32:
             continue
         inv = gf2.inverse(rows, 32)
         identity = [1 << i for i in range(32)]

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from blockca.ca import (BLOCK_TABLE, Direction, EdgeMode, Phase, apply_rule,
-                        block_codes, evolve, map_blocks, random_grid,
-                        random_grids, step, to_frame, from_frame)
+                        block_codes, evolve, inverse_step, map_blocks,
+                        random_grid, random_grids, step, to_frame, from_frame)
 from blockca.learn import (
     TrainConfig,
+    TrainHistory,
     TrainingDiverged,
     apply_model_binary,
     block_form,
@@ -26,11 +27,10 @@ from blockca.learn import (
     train,
     verify_commuting_solutions,
 )
-from blockca.learn.data import verify_dataset
 from blockca.learn.models import ALIGNED_PARTITION
 from blockca.learn.rollout import IDENTITY_TABLE
 from blockca.learn.witness import lower_network, witness_logits
-from blockca.learn.train import KEY_CHUNK, block_keys, fit
+from blockca.learn.train import KEY_CHUNK, block_keys, fit, split_holdout
 from blockca.nn import (ConvLayer, Crop1Layer, DeconvLayer, Network, Pad1Layer,
                         ReLULayer, SigmoidLayer, WrapShiftLayer,
                         UnwrapShiftLayer, bce_loss, load_network,
@@ -58,13 +58,12 @@ def small_dataset(seed=0, n=8, count=40, direction=Direction.FORWARD,
 class TestDataset:
     def test_targets_match_exact_rule(self):
         ds = small_dataset(seed=3)
-        assert verify_dataset(ds)
-        for x, t in zip(ds.inputs[:5], ds.targets[:5]):
-            assert np.array_equal(t, step(x))
+        assert np.array_equal(ds.targets, step(ds.inputs))
 
     def test_backward_targets_use_inverse_step(self):
         ds = small_dataset(seed=4, direction=Direction.BACKWARD)
-        assert verify_dataset(ds)
+        assert np.array_equal(ds.targets, inverse_step(ds.inputs))
+        assert np.array_equal(step(ds.targets), ds.inputs)
 
     def test_all_dead_input_maps_to_all_live(self):
         ds = generate_dataset(4, 1, Direction.FORWARD, Phase.ALIGNED,
@@ -989,6 +988,16 @@ class TestCommute:
         assert len(report.distinct_commuters) == 3
         assert "non-uniqueness certified: yes" in report.summary()
 
+    def test_equal_commuters_are_counted_once(self):
+        evolution = exact_phase_step(Phase.ALIGNED)
+        candidates = [("identity", lambda g: g),
+                      ("identity-copy", lambda g: g.copy()),
+                      ("evolution", evolution)]
+        report = verify_commuting_solutions(candidates, trials=10, seed=5,
+                                            evolution=evolution, n=8)
+        assert all(r.commutes for r in report.results)
+        assert report.distinct_commuters == ["identity", "evolution"]
+
     def test_non_commuting_candidate_flagged(self):
         candidates = [
             ("identity", lambda g: g),
@@ -1081,3 +1090,20 @@ class TestExactMaps:
         fn = exact_phase_step(Phase.OFFSET)
         want = np.stack([step(g, Phase.OFFSET) for g in grids])
         assert np.array_equal(fn(grids), want)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: TrainConfig(epochs=-1), "epochs must be >= 0"),
+    (lambda: TrainConfig(batch_size=0), "batch_size must be >= 1"),
+    (lambda: TrainHistory().final, "history is empty"),
+    (lambda: split_holdout(3, 0.1),
+     "holdout fraction 0.1 leaves no usable split of 3 samples"),
+    (lambda: generate_dataset(4, 0, Direction.FORWARD, Phase.ALIGNED,
+                              EdgeMode.TORUS_WRAP, seed=0),
+     "count must be >= 1, got 0"),
+], ids=["negative-epochs", "empty-batch", "empty-history", "no-split",
+        "no-pairs"])
+def test_rejections_name_their_cause(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -482,3 +482,31 @@ class TestDeconvLowering:
         mat, bias = deconv_to_matrix(zero_bias, small)
         want = deconv_forward(zero_bias, y).ravel()
         assert np.abs(mat @ y.ravel() + bias - want).max() <= 1e-10
+
+
+def kernel_2_from_3(bias):
+    """A 1x1 kernel from 3 channels to 2, with the given bias."""
+    return KernelSpec(2, 3, 1, 1, 1, np.zeros((2, 3, 1, 1)), np.asarray(bias))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: KernelSpec(1, 1, 2, 2, 2, np.zeros((1, 1, 2, 3)), np.zeros(1)),
+     "weights shape (1, 1, 2, 3) does not match declared (1, 1, 2, 2)"),
+    (lambda: kernel_2_from_3(np.zeros(4)),
+     "bias length (4,) matches neither channel count"),
+    (lambda: conv_to_matrix(kernel_2_from_3(np.zeros(2)), (1, 4, 4)),
+     "input channels 1 != kernel in_channels 3"),
+    (lambda: deconv_to_matrix(kernel_2_from_3(np.zeros(2)), (3, 2, 2)),
+     "input channels 3 != kernel out_channels 2"),
+    (lambda: devectorize_zigzag(np.zeros(9, dtype=np.uint8), 3),
+     "grid side must be even and >= 2, got 3"),
+    (lambda: build_wrap_permutation(5),
+     "grid side must be even and >= 2, got 5"),
+    (lambda: AffineOperator(2, (1,), 0), "row count must equal dim"),
+], ids=["kernel-weights", "kernel-bias", "conv-matrix-channels",
+        "deconv-matrix-channels", "devectorize-odd", "wrap-odd",
+        "operator-rows"])
+def test_rejections_name_their_cause(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

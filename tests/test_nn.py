@@ -257,9 +257,20 @@ class TestOptimizers:
         config = OptimizerConfig(algorithm="sgd", learning_rate=1.0)
         net = one_by_one_network([3.0, -0.5])
         layer = net.layers[0]
-        layer.grad_weights = layer.kernel.weights.copy()
+        layer.grad_weights[...] = layer.kernel.weights
         NetworkOptimizer(config, net).step()
         assert np.array_equal(layer.kernel.weights.ravel(), [0.0, 0.0])
+
+    @pytest.mark.parametrize("name", ["grad_weights", "grad_bias"])
+    def test_gradients_are_read_only_views_of_network_grad(self, name):
+        net = one_by_one_network([3.0, -0.5])
+        layer = net.layers[0]
+        getattr(layer, name)[...] = 1.0
+        before = net.grad.copy()
+        with pytest.raises(AttributeError):
+            setattr(layer, name, np.zeros_like(getattr(layer, name)))
+        assert np.array_equal(net.grad, before)
+        assert np.shares_memory(getattr(layer, name), net.grad)
 
     def test_adam_converges_on_quadratic_bowl(self):
         config = OptimizerConfig(algorithm="adam", learning_rate=1e-2)
@@ -267,7 +278,7 @@ class TestOptimizers:
         layer = net.layers[0]
         opt = NetworkOptimizer(config, net)
         for _ in range(2000):
-            layer.grad_weights = 2.0 * layer.kernel.weights
+            np.multiply(layer.kernel.weights, 2.0, out=layer.grad_weights)
             opt.step()
         assert abs(layer.kernel.weights.item()) < 1e-3
 
@@ -421,3 +432,25 @@ class TestLoweringAtFullScale:
         dmat, dbias = deconv_to_matrix(zero_k, (4, 8, 8))
         got = deconv_forward(zero_k, y).ravel()
         assert np.abs(dmat @ y.ravel() + dbias - got).max() <= 1e-10
+
+
+def kernel_2_from_3(bias):
+    """A 1x1 kernel from 3 channels to 2, with the given bias."""
+    return KernelSpec(2, 3, 1, 1, 1, np.zeros((2, 3, 1, 1)), np.asarray(bias))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: conv_forward(kernel_2_from_3(np.ones(3)), np.zeros((1, 3, 2, 2))),
+     "bias length 3 does not match the operation's 2 output channels"),
+    (lambda: deconv_forward(kernel_2_from_3(np.zeros(2)),
+                            np.zeros((1, 3, 2, 2))),
+     "expected (N,2,H,W) input, got (1, 3, 2, 2)"),
+    (lambda: Network([ReLULayer()]).backward(np.zeros(1), []),
+     "cache list does not match the layer stack"),
+    (lambda: counted_bce_loss(np.zeros(4), np.zeros(4), np.zeros(3), 7),
+     "prediction shape (4,) != count shapes (4,), (3,)"),
+], ids=["conv-bias-side", "deconv-channels", "short-caches", "loss-shapes"])
+def test_rejections_name_their_cause(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
